@@ -19,18 +19,17 @@ previous round — and rewire the topology to hurt the algorithm:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, Optional, Set
 
 from repro.adversaries.base import Adversary
+from repro.adversaries.churn import ChurnAdversary, ChurnGraph
 from repro.core.messages import MessageKind
 from repro.core.observation import RoundObservation
-from repro.dynamics.connectivity import ensure_connected
-from repro.dynamics.generators import random_connected_edges
 from repro.utils.ids import Edge, NodeId, normalize_edge
 from repro.utils.validation import require_non_negative_int, require_probability
 
 
-class RequestCuttingAdversary(Adversary):
+class RequestCuttingAdversary(ChurnAdversary):
     """Removes edges that carried token requests in the previous round.
 
     Parameters:
@@ -48,16 +47,10 @@ class RequestCuttingAdversary(Adversary):
         cut_fraction: float = 1.0,
         name: str = "request-cutting",
     ):
-        super().__init__()
-        require_probability(edge_probability, "edge_probability")
+        super().__init__(edge_probability)
         require_probability(cut_fraction, "cut_fraction")
-        self._edge_probability = edge_probability
         self._cut_fraction = cut_fraction
-        self._current: Optional[Set[Edge]] = None
         self.name = name
-
-    def on_reset(self) -> None:
-        self._current = None
 
     def _request_edges(self, observation: Optional[RoundObservation]) -> Set[Edge]:
         if observation is None:
@@ -70,31 +63,16 @@ class RequestCuttingAdversary(Adversary):
                 request_edges.add(normalize_edge(record.sender, record.receiver))
         return request_edges
 
-    def edges_for_round(
-        self, round_index: int, observation: Optional[RoundObservation]
-    ) -> Iterable[Edge]:
-        nodes = list(self.nodes)
-        if self._current is None:
-            self._current = set(
-                random_connected_edges(nodes, self._edge_probability, self.rng)
-            )
-            return set(self._current)
-        edges = set(self._current)
-        request_edges = sorted(self._request_edges(observation) & edges)
+    def rewire(self, graph: ChurnGraph, observation: Optional[RoundObservation]) -> None:
+        request_edges = sorted(
+            edge for edge in self._request_edges(observation) if graph.has_edge(*edge)
+        )
         num_to_cut = int(round(self._cut_fraction * len(request_edges)))
-        for edge in self.rng.sample(request_edges, num_to_cut):
-            edges.discard(edge)
+        for u, v in self.rng.sample(request_edges, num_to_cut):
+            graph.remove_edge(u, v)
         # Replace cut edges with fresh random edges so the density stays stable.
-        candidates = [
-            normalize_edge(u, v)
-            for index, u in enumerate(nodes)
-            for v in nodes[index + 1 :]
-            if normalize_edge(u, v) not in edges
-        ]
-        replacements = self.rng.sample(candidates, min(num_to_cut, len(candidates)))
-        edges.update(replacements)
-        self._current = set(ensure_connected(nodes, edges, self.rng))
-        return set(self._current)
+        graph.add_random(self.rng, num_to_cut)
+        graph.repair(self.rng)
 
 
 class StarRecenterAdversary(Adversary):
@@ -144,7 +122,7 @@ class StarRecenterAdversary(Adversary):
         }
 
 
-class AdaptiveRewiringAdversary(Adversary):
+class AdaptiveRewiringAdversary(ChurnAdversary):
     """Background churn plus targeted cutting of high-value edges.
 
     Each round the adversary removes up to ``targeted_cuts`` edges whose two
@@ -163,18 +141,25 @@ class AdaptiveRewiringAdversary(Adversary):
         random_churn: int = 2,
         name: str = "adaptive-rewiring",
     ):
-        super().__init__()
-        require_probability(edge_probability, "edge_probability")
+        super().__init__(edge_probability)
         require_non_negative_int(targeted_cuts, "targeted_cuts")
         require_non_negative_int(random_churn, "random_churn")
-        self._edge_probability = edge_probability
         self._targeted_cuts = targeted_cuts
         self._random_churn = random_churn
+        #: The edge set as a tuple set, mirrored edit for edit: the targeted
+        #: ranking breaks knowledge-gap ties in this set's iteration order,
+        #: which depends on how the set was built.
         self._current: Optional[Set[Edge]] = None
         self.name = name
 
     def on_reset(self) -> None:
+        super().on_reset()
         self._current = None
+
+    def initial_edges(self) -> Set[Edge]:
+        edges = super().initial_edges()
+        self._current = set(edges)
+        return edges
 
     def _knowledge_gap(self, observation: RoundObservation, edge: Edge) -> int:
         u, v = edge
@@ -182,15 +167,7 @@ class AdaptiveRewiringAdversary(Adversary):
         known_v = observation.knowledge[v]
         return len(known_u ^ known_v)
 
-    def edges_for_round(
-        self, round_index: int, observation: Optional[RoundObservation]
-    ) -> Iterable[Edge]:
-        nodes = list(self.nodes)
-        if self._current is None:
-            self._current = set(
-                random_connected_edges(nodes, self._edge_probability, self.rng)
-            )
-            return set(self._current)
+    def rewire(self, graph: ChurnGraph, observation: Optional[RoundObservation]) -> None:
         edges = set(self._current)
         removed = 0
         if observation is not None and self._targeted_cuts > 0:
@@ -203,17 +180,14 @@ class AdaptiveRewiringAdversary(Adversary):
                 if self._knowledge_gap(observation, edge) == 0:
                     break
                 edges.discard(edge)
+                graph.remove_edge(*edge)
                 removed += 1
-        removable = sorted(edges)
-        for edge in self.rng.sample(removable, min(self._random_churn, len(removable))):
+        for edge in graph.remove_random(self.rng, self._random_churn):
             edges.discard(edge)
             removed += 1
-        candidates = [
-            normalize_edge(u, v)
-            for index, u in enumerate(nodes)
-            for v in nodes[index + 1 :]
-            if normalize_edge(u, v) not in edges
-        ]
-        edges.update(self.rng.sample(candidates, min(removed, len(candidates))))
-        self._current = set(ensure_connected(nodes, edges, self.rng))
-        return set(self._current)
+        edges.update(graph.add_random(self.rng, removed))
+        repaired = graph.repair(self.rng, edges)
+        # Rebuilt exactly like ``set(ensure_connected(nodes, edges))`` when
+        # no repair is needed (a comprehension over ``edges``), so the next
+        # ranking sees the same iteration order.
+        self._current = set(repaired if repaired is not None else {e for e in edges})

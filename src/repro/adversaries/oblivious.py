@@ -14,11 +14,12 @@ execution starts (Section 1.3).  We provide two flavours:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, Optional, Set
 
 from repro.adversaries.base import Adversary
+from repro.adversaries.churn import ChurnAdversary, ChurnGraph
 from repro.core.observation import RoundObservation
-from repro.dynamics.connectivity import ensure_connected, is_connected
+from repro.dynamics.connectivity import is_connected
 from repro.dynamics.generators import random_connected_edges
 from repro.dynamics.graph_sequence import GraphSchedule
 from repro.utils.ids import Edge, normalize_edge
@@ -106,7 +107,7 @@ class RandomChurnObliviousAdversary(Adversary):
         return set(self._current)
 
 
-class ControlledChurnAdversary(Adversary):
+class ControlledChurnAdversary(ChurnAdversary):
     """An oblivious adversary with an explicit per-round churn budget.
 
     Starting from a connected random graph, every round it removes up to
@@ -115,7 +116,8 @@ class ControlledChurnAdversary(Adversary):
     topological changes of an x-round execution is therefore roughly
     ``changes_per_round · x`` plus the initial edges, which makes this
     adversary the workhorse for sweeping ``TC(E)`` in the
-    adversary-competitive experiments.
+    adversary-competitive experiments.  With a zero budget the first
+    round's graph stays forever (:attr:`steady_after_round` is 1).
     """
 
     oblivious = True
@@ -126,12 +128,9 @@ class ControlledChurnAdversary(Adversary):
         edge_probability: float = 0.15,
         name: str = "controlled-churn",
     ):
-        super().__init__()
         require_non_negative_int(changes_per_round, "changes_per_round")
-        require_probability(edge_probability, "edge_probability")
+        super().__init__(edge_probability)
         self._changes_per_round = changes_per_round
-        self._edge_probability = edge_probability
-        self._current: Optional[Set[Edge]] = None
         self.name = name
 
     @property
@@ -139,37 +138,12 @@ class ControlledChurnAdversary(Adversary):
         """The configured per-round churn budget."""
         return self._changes_per_round
 
-    def on_reset(self) -> None:
-        self._current = None
+    @property
+    def steady_after_round(self) -> Optional[int]:
+        """A zero budget never changes the round-1 graph."""
+        return 1 if self._changes_per_round == 0 else None
 
-    def _initial_edges(self) -> Set[Edge]:
-        return set(
-            random_connected_edges(self.nodes, self._edge_probability, self.rng)
-        )
-
-    def edges_for_round(
-        self, round_index: int, observation: Optional[RoundObservation]
-    ) -> Iterable[Edge]:
-        if self._current is None:
-            self._current = self._initial_edges()
-            return set(self._current)
-        if self._changes_per_round == 0:
-            return set(self._current)
-        nodes = list(self.nodes)
-        edges = set(self._current)
-        removable = sorted(edges)
-        to_remove = self.rng.sample(
-            removable, min(self._changes_per_round, len(removable))
-        )
-        for edge in to_remove:
-            edges.discard(edge)
-        candidates = [
-            normalize_edge(u, v)
-            for index, u in enumerate(nodes)
-            for v in nodes[index + 1 :]
-            if normalize_edge(u, v) not in edges
-        ]
-        to_add = self.rng.sample(candidates, min(len(to_remove), len(candidates)))
-        edges.update(to_add)
-        self._current = set(ensure_connected(nodes, edges, self.rng))
-        return set(self._current)
+    def rewire(self, graph: ChurnGraph, observation: Optional[RoundObservation]) -> None:
+        removed = graph.remove_random(self.rng, self._changes_per_round)
+        graph.add_random(self.rng, len(removed))
+        graph.repair(self.rng)

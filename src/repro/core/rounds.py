@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: algorithm modules carry
     # here would be circular.
     from repro.algorithms.base import TokenForwardingAlgorithm
 
+from repro.adversaries.churn import ChurnAdversary
 from repro.core.comm import CommunicationModel
 from repro.core.events import EventLog
 from repro.core.messages import Payload, ReceivedMessage
@@ -61,6 +62,7 @@ from repro.core.state import (
     edge_id,
 )
 from repro.core.tokens import Token
+from repro.dynamics.connectivity import mask_reaches, survives_removals
 from repro.dynamics.graph_sequence import EdgeIdTrace
 from repro.utils.ids import NodeId
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng
@@ -216,6 +218,18 @@ class AdversaryStage:
         self._steady_after: Optional[int] = getattr(
             adversary, "steady_after_round", None
         )
+        #: The in-tree churn family reports each round as an edge-id delta
+        #: (see :mod:`repro.adversaries.churn`); every other adversary, and a
+        #: subclass that overrides ``edges_for_round``, takes the tuple path.
+        self._edge_delta = None
+        if (
+            isinstance(adversary, ChurnAdversary)
+            and type(adversary).edges_for_round is ChurnAdversary.edges_for_round
+        ):
+            self._edge_delta = adversary.edge_delta_for_round
+        #: Whether the current graph has been checked connected; only then
+        #: may rounds without removals skip the check.
+        self._validated = False
 
     def _edge_ids_for_round(
         self, round_index: int, observation: Optional[RoundObservation]
@@ -245,25 +259,6 @@ class AdversaryStage:
             self._last_ids = frozen
         return frozen
 
-    def _is_connected(self, ids: FrozenSet[int]) -> bool:
-        n = self.n
-        parent = list(range(n))
-        components = n
-        for eid in ids:
-            a, b = divmod(eid, n)
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[b] = a
-                components -= 1
-                if components == 1:
-                    return True
-        return components == 1
-
     def advance(
         self,
         round_index: int,
@@ -285,22 +280,19 @@ class AdversaryStage:
         observation = (
             program.observation(round_index, commitment) if self.observe else None
         )
-        current = self._edge_ids_for_round(round_index, observation)
         previous = self._previous_ids
-        if current is previous:
-            # Schedule-replaying adversaries hand back the identical edge set
-            # object round after round; skip the O(|E|) set differences and
-            # the connectivity re-check — the set was validated when it was
-            # first produced, and identical edges stay connected.
-            inserted = removed = frozenset()
+        if self._edge_delta is not None:
+            inserted, removed = self._edge_delta(round_index, observation)
+            current = (previous - removed) | inserted if inserted or removed else previous
         else:
-            inserted = frozenset(current - previous)
-            removed = frozenset(previous - current)
-            if self.require_connected and self.n > 1 and not self._is_connected(current):
-                raise AdversaryViolationError(
-                    f"adversary produced a disconnected graph in round {round_index}"
-                )
-        self.trace.record_ids(current, inserted, removed)
+            current = self._edge_ids_for_round(round_index, observation)
+            if current is previous:
+                # Schedule-replaying adversaries hand back the identical edge
+                # set object round after round; skip the O(|E|) differences.
+                inserted = removed = frozenset()
+            else:
+                inserted = frozenset(current - previous)
+                removed = frozenset(previous - current)
         adj = self.adj
         n = self.n
         for eid in inserted:
@@ -311,6 +303,18 @@ class AdversaryStage:
             a, b = divmod(eid, n)
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
+        # Only removals can disconnect a graph that was validated connected.
+        if self.require_connected and n > 1 and (removed or not self._validated):
+            if self._validated:
+                connected = survives_removals(adj, removed, n)
+            else:
+                connected = mask_reaches(adj, 0, (1 << n) - 1)
+            if not connected:
+                raise AdversaryViolationError(
+                    f"adversary produced a disconnected graph in round {round_index}"
+                )
+            self._validated = True
+        self.trace.record_ids(current, inserted, removed)
         self.inserted_ids = inserted
         self.removed_ids = removed
         self._previous_ids = current

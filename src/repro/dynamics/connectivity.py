@@ -59,6 +59,45 @@ def is_connected(nodes: Iterable[NodeId], edges: Iterable[Edge]) -> bool:
     return len(connected_components(nodes, edges)) <= 1
 
 
+def mask_reaches(adj: Sequence[int], source: int, targets: int) -> bool:
+    """True iff every node index in the ``targets`` bitmask is reachable from ``source``.
+
+    ``adj[i]`` is the neighbour bitmask of node index ``i``.  The search
+    expands one whole BFS layer per step and stops as soon as every target
+    is reached, so checking that a connected graph survived a few edge
+    removals (targets = the removed edges' endpoints) rarely visits the
+    whole graph.
+    """
+    seen = frontier = 1 << source
+    while seen & targets != targets:
+        if not frontier:
+            return False
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        seen |= frontier
+    return True
+
+
+def survives_removals(adj: Sequence[int], removed_ids: Iterable[int], n: int) -> bool:
+    """Whether a graph that was connected is still connected after a round of edits.
+
+    ``adj`` already reflects the edits; ``removed_ids`` are the edges they
+    removed, as ``a * n + b`` ids of node indices.  Removing edges from a
+    connected graph (and adding others) keeps it connected iff the
+    endpoints of every removed edge still reach each other.
+    """
+    targets = 0
+    for eid in removed_ids:
+        targets |= (1 << (eid // n)) | (1 << (eid % n))
+    if not targets:
+        return True
+    return mask_reaches(adj, (targets & -targets).bit_length() - 1, targets)
+
+
 def ensure_connected(
     nodes: Sequence[NodeId],
     edges: Iterable[Edge],

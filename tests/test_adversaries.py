@@ -106,6 +106,56 @@ class TestControlledChurnAdversary:
         assert adversary.edges_for_round(2, None) == first
         assert adversary.edges_for_round(3, None) == first
 
+    def test_zero_budget_declares_a_steady_topology(self):
+        assert ControlledChurnAdversary(changes_per_round=0).steady_after_round == 1
+        assert ControlledChurnAdversary(changes_per_round=2).steady_after_round is None
+
+    def test_zero_budget_is_queried_once_with_unchanged_records(self):
+        from repro.backends.differential import diff_results
+        from repro.core.engine import Simulator
+        from repro.core.rounds import AdversaryStage
+        from repro.algorithms.single_source import SingleSourceUnicastAlgorithm
+
+        class Counting(ControlledChurnAdversary):
+            rounds = []
+
+            def edge_delta_for_round(self, round_index, observation):
+                self.rounds.append(round_index)
+                return super().edge_delta_for_round(round_index, observation)
+
+        class Unpromised(ControlledChurnAdversary):
+            steady_after_round = None
+
+        problem = single_source_problem(8, 5)
+        steady = Counting(changes_per_round=0)
+        stage = AdversaryStage(
+            problem.nodes,
+            {node: node for node in problem.nodes},
+            steady,
+            require_connected=True,
+            keep_trace=True,
+        )
+        steady.reset(problem, random.Random(1))
+        for round_index in range(1, 6):
+            stage.advance(round_index, None, None)
+        assert Counting.rounds == [1]
+        assert stage.trace.topological_changes() == len(stage.trace.edges_in_round(1))
+
+        results = [
+            Simulator(
+                problem,
+                SingleSourceUnicastAlgorithm(),
+                adversary,
+                seed=11,
+            ).run()
+            for adversary in (
+                ControlledChurnAdversary(changes_per_round=0),
+                Unpromised(changes_per_round=0),
+            )
+        ]
+        assert results[0].rounds > 1
+        assert diff_results(*results) == []
+
     def test_budget_changes_edges_each_round(self):
         problem = single_source_problem(10, 1)
         adversary = ControlledChurnAdversary(changes_per_round=4, edge_probability=0.3)

@@ -104,6 +104,54 @@ class TestAdversaryStage:
         assert stage.trace.topological_changes() == 4  # 3 initial + 1 swap
         assert stage.neighbors_view()[1] == frozenset({0, 3})
 
+    def test_rejects_a_later_removal_that_disconnects(self):
+        class Cutting(Adversary):
+            oblivious = True
+
+            def edges_for_round(self, round_index, observation):
+                return path_edges(4) if round_index == 1 else [(0, 1), (2, 3)]
+
+        stage = make_stage(Cutting(), n=4)
+        stage.advance(1, None, None)
+        with pytest.raises(AdversaryViolationError, match="round 2"):
+            stage.advance(2, None, None)
+
+    def test_churn_adversaries_feed_edge_id_deltas(self):
+        problem = single_source_problem(12, 1)
+        adversary = ControlledChurnAdversary(changes_per_round=3, edge_probability=0.2)
+        adversary.reset(problem, random.Random(8))
+        # The stage consumes the delta; the tuple method is never called.
+        adversary.edges_for_round = None
+        twin = ControlledChurnAdversary(changes_per_round=3, edge_probability=0.2)
+        twin.reset(problem, random.Random(8))
+        stage = make_stage(adversary, n=12)
+        for round_index in range(1, 15):
+            stage.advance(round_index, None, None)
+            expected = twin.edges_for_round(round_index, None)
+            assert stage.trace.edges_in_round(round_index) == frozenset(expected)
+            assert stage.neighbors_view() == {
+                node: frozenset(
+                    v for u, w in expected for v in (u, w) if node in (u, w) and v != node
+                )
+                for node in problem.nodes
+            }
+
+    def test_overriding_edges_for_round_keeps_the_tuple_path(self):
+        calls = []
+
+        class Pinned(ControlledChurnAdversary):
+            def edges_for_round(self, round_index, observation):
+                calls.append(round_index)
+                return path_edges(4)
+
+        adversary = Pinned(changes_per_round=2)
+        adversary.reset(single_source_problem(4, 1), random.Random(0))
+        stage = make_stage(adversary, n=4)
+        stage.advance(1, None, None)
+        stage.advance(2, None, None)
+        assert calls == [1, 2]
+        assert stage.trace.edges_in_round(2) == frozenset(path_edges(4))
+
     def test_oblivious_adversaries_never_receive_observations(self):
         class Recording(FixedEdgesAdversary):
             def __init__(self, edges):

@@ -10,7 +10,9 @@ from repro.dynamics.connectivity import (
     connecting_edges_between_components,
     ensure_connected,
     is_connected,
+    mask_reaches,
     spanning_forest,
+    survives_removals,
 )
 
 
@@ -105,3 +107,36 @@ class TestBfsTree:
         parent, depth = bfs_tree([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)], root=0)
         assert all(depth[node] == 1 for node in (1, 2, 3))
         assert all(parent[node] == 0 for node in (1, 2, 3))
+
+
+def _masks(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+class TestBitmaskConnectivity:
+    def test_mask_reaches_agrees_with_union_find(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+            full = (1 << n) - 1
+            assert mask_reaches(_masks(n, edges), 0, full) == is_connected(range(n), edges)
+
+    def test_survives_removals_agrees_with_union_find(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            edges = ensure_connected(list(range(n)), set(), rng)
+            edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2}
+            removed = set(rng.sample(sorted(edges), min(3, len(edges))))
+            after = (edges - removed) | {(0, n - 1)}
+            removed -= after
+            ids = [u * n + v for u, v in removed]
+            assert survives_removals(_masks(n, after), ids, n) == is_connected(range(n), after)
+
+    def test_no_removals_means_still_connected(self):
+        assert survives_removals(_masks(3, [(0, 1), (1, 2)]), [], 3)
