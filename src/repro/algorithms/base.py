@@ -148,15 +148,16 @@ class TokenForwardingAlgorithm(abc.ABC):
         return None
 
     def batch_program_factory(self) -> Optional[Callable[[object], object]]:
-        """A vectorized many-repetition round program, or ``None``.
+        """A lockstep many-repetition round program, or ``None``.
 
-        Algorithms whose round bodies are data-parallel across independently
-        seeded repetitions return a callable ``batch_kernel ->
-        BatchRoundProgram`` (see :mod:`repro.batch.programs`); the batch
-        backend steps all repetitions of a scenario in lockstep with it.
-        The same exact-type guard as :meth:`fast_program_factory` applies.
-        Algorithms without a batch program still run under the batch
-        backend — each repetition falls back to the bitset kernel.
+        Only algorithms whose rounds really step in ``(lanes, n)`` lockstep
+        (bulk numpy operations over all repetitions at once) return a
+        callable ``batch_kernel -> BatchRoundProgram`` (see
+        :mod:`repro.batch.programs`); the batch backend steps all
+        repetitions of a scenario with it.  The same exact-type guard as
+        :meth:`fast_program_factory` applies.  Algorithms with per-edge
+        choices return ``None``: the batch backend runs their repetitions
+        one at a time on the bitset kernel, over one shared problem.
         """
         return None
 

@@ -43,9 +43,11 @@ to a cold full run.
 
 **Vectorized groups.**  On the in-process path, consecutive pending cells
 of the same spec form one group; when the scenario is vectorizable (the
-algorithm has a batch program, the adversary is oblivious) and numpy is
-installed, the whole group runs through the vectorized batch backend
-(:mod:`repro.batch`) in one pass.  Records are field-identical either way —
+adversary is oblivious and the algorithm has a batch program or a native
+bitset fast program) and numpy is installed, the whole group runs through
+the batch backend (:mod:`repro.batch`) in one pass: lockstep lanes where
+the algorithm has a batch program, one lane at a time over one shared
+problem otherwise.  Records are field-identical either way —
 an explicit ``.backend("bitset")`` opts out.
 """
 
@@ -636,9 +638,9 @@ def execute_group(
     """Run a same-spec repetition group, vectorized when possible.
 
     The group-level unit of work behind both the in-process path and the
-    worker pools: a vectorizable group runs all repetitions as lockstep
-    lanes of one batch kernel; anything else runs cell by cell through the
-    spec's own backend.  Either way the outcome list is in repetition
+    worker pools: a vectorizable group runs all repetitions in one
+    :meth:`~repro.batch.backend.BatchBackend.run_batch` call; anything else
+    runs cell by cell through the spec's own backend.  Either way the outcome list is in repetition
     order and each record is field-identical to a serial execution.
     """
     if vectorizable_group(spec, len(repetitions)):

@@ -14,10 +14,11 @@ and program family they plug in.  Importing this package registers:
   programs where algorithms provide them, the generic exchange path
   everywhere else; supports every registered algorithm under oblivious and
   adaptive adversaries;
-* ``batch`` — the vectorized numpy kernel (:mod:`repro.batch`) running all
-  repetitions of a scenario in lockstep lanes, falling back to the bitset
-  kernel per repetition for adaptive or non-vectorizable scenarios.  Needs
-  the ``repro[fast]`` optional extra.
+* ``batch`` — runs all repetitions of a scenario in one call
+  (:mod:`repro.batch`): lockstep numpy lanes for the algorithms with a
+  batch program under oblivious adversaries, otherwise the bitset kernel
+  per repetition over one shared problem.  Needs the ``repro[fast]``
+  optional extra.
 
 Select a backend per scenario (``ScenarioSpec(backend="bitset", ...)``,
 ``python -m repro run --backend bitset``) and check equivalence with the

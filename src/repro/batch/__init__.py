@@ -1,6 +1,9 @@
-"""Vectorized batch execution: whole sweeps of repetitions in lockstep.
+"""Batch execution: all repetitions of a scenario in one call.
 
-This package holds the numpy-backed batch execution core:
+This package holds the numpy-backed lockstep core, used by the algorithms
+whose rounds really step in ``(lanes, n)`` lockstep (flooding,
+one-shot-flooding, naive-unicast); the ``batch`` backend runs every other
+scenario one repetition at a time on the bitset kernel:
 
 - :class:`~repro.batch.programs.BatchRoundProgram` — the per-round protocol
   batch programs implement (they live next to their algorithms);

@@ -1,24 +1,28 @@
-"""The ``batch`` execution backend: vectorized multi-repetition dispatch.
+"""The ``batch`` execution backend: multi-repetition dispatch.
 
 :class:`BatchBackend` is the third registered :class:`~repro.backends.base.
 EngineBackend`.  Its defining operation is :meth:`BatchBackend.run_batch`:
-run *all* pending repetitions of one grid cell at once through a
-:class:`~repro.batch.engine.BatchKernel` — one shared problem, one numpy
-knowledge cube, per-lane adversaries and RNG streams — and return one
+run *all* pending repetitions of one grid cell in one call and return one
 :class:`~repro.core.result.ExecutionResult` per repetition, field-identical
-to running each repetition serially.
+to running each repetition serially.  It has exactly two paths:
 
-Vectorization requires two things of a scenario: the algorithm must expose a
-batch program (:meth:`~repro.algorithms.base.TokenForwardingAlgorithm.
-batch_program_factory`) and the adversary must be oblivious (lockstep lanes
-never build round observations).  Everything else — adaptive adversaries,
-algorithms without a batch program — still runs under this backend, falling
-back per lane to the bitset fast-path kernel, so :meth:`supports` accepts
-every scenario.
+- **lockstep** — algorithms whose rounds really step in ``(lanes, n)``
+  lockstep ship a batch program (:meth:`~repro.algorithms.base.
+  TokenForwardingAlgorithm.batch_program_factory`: flooding,
+  one-shot-flooding, naive-unicast).  Under an oblivious adversary (lockstep
+  lanes never build round observations) a
+  :class:`~repro.batch.engine.BatchKernel` runs every repetition at once:
+  one shared problem, one numpy knowledge cube, per-lane adversaries and RNG
+  streams.
+- **per lane** — everything else, adaptive scenarios included.  The problem
+  is built once; each lane gets a fresh algorithm and adversary and runs
+  through the bitset :class:`~repro.core.rounds.RoundKernel` with native
+  fast programs.
 
-The backend needs numpy (the ``repro[fast]`` extra) even for the fallback
-path: asking for ``batch`` without numpy is a configuration error with an
-install hint, not a silent downgrade.
+:meth:`supports` therefore accepts every scenario.  The backend needs numpy
+(the ``repro[fast]`` extra) even for the per-lane path: asking for ``batch``
+without numpy is a configuration error with an install hint, not a silent
+downgrade.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.backends.base import EngineBackend, register_backend
+from repro.backends.bitset import BitsetBackend, has_native_fast_path
 from repro.batch.engine import BatchKernel
 from repro.core.result import ExecutionResult
-from repro.core.rounds import RoundKernel
-from repro.core.state import BitsetKnowledgeState, numpy_available, require_numpy
-from repro.obs.logs import get_logger
+from repro.core.state import numpy_available, require_numpy
 from repro.utils.rng import SeedLike
 
-logger = get_logger(__name__)
+#: Runs one repetition on the bitset kernel with native fast programs.
+_PER_LANE = BitsetBackend()
 
 
 def can_vectorize(algorithm, adversary) -> bool:
@@ -45,7 +49,7 @@ def can_vectorize(algorithm, adversary) -> bool:
 
 
 def batch_program_names() -> List[str]:
-    """Registry names of the algorithms with a vectorized batch program.
+    """Registry names of the algorithms with a lockstep batch program.
 
     Capability discovery instead of a hardcoded allowlist, mirroring
     :func:`repro.backends.bitset.fast_path_names`: every registered
@@ -66,11 +70,14 @@ def batch_program_names() -> List[str]:
 
 
 def can_vectorize_spec(spec) -> bool:
-    """True iff the scenario named by ``spec`` can run in lockstep lanes.
+    """True iff multi-repetition groups of ``spec`` belong on :meth:`run_batch`.
 
-    Instantiates the algorithm and adversary from the registries (cheap:
-    constructors only) to ask them; never raises for unknown names — the
-    caller's normal dispatch path will surface those errors.
+    That holds for an oblivious adversary paired with an algorithm that has
+    a lockstep batch program or a native bitset fast program (which the
+    per-lane path runs over one shared problem).  Adaptive scenarios stay
+    off it.  Instantiates the algorithm and adversary from the registries
+    (cheap: constructors only) to ask them; never raises for unknown names —
+    the caller's normal dispatch path will surface those errors.
     """
     from repro.scenarios.registry import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY
 
@@ -79,25 +86,31 @@ def can_vectorize_spec(spec) -> bool:
         adversary = ADVERSARY_REGISTRY.create(spec.adversary, **spec.adversary_params)
     except Exception:
         return False
-    return can_vectorize(algorithm, adversary)
+    if not getattr(adversary, "oblivious", False):
+        return False
+    return algorithm.batch_program_factory() is not None or has_native_fast_path(
+        algorithm
+    )
 
 
 @register_backend(
     "batch",
     description=(
-        "vectorized numpy kernel running all repetitions of a scenario in "
-        "lockstep; falls back to the bitset kernel per repetition for "
-        "adaptive or non-vectorizable scenarios (needs the repro[fast] extra)"
+        "runs all repetitions of a scenario in one call: lockstep numpy "
+        "lanes for flooding, one-shot-flooding and naive-unicast under "
+        "oblivious adversaries, the bitset kernel per repetition over one "
+        "shared problem otherwise (needs the repro[fast] extra)"
     ),
 )
 class BatchBackend(EngineBackend):
-    """Vectorized multi-repetition execution on ``BatchKnowledgeState``."""
+    """Multi-repetition execution: lockstep lanes or per-lane bitset runs."""
 
     name = "batch"
 
     def supports(self, problem, algorithm, adversary) -> Optional[str]:
-        # Everything runs: non-vectorizable scenarios use the per-lane
-        # bitset fallback.  Only the missing optional dependency refuses.
+        # Everything runs: scenarios without lockstep lanes take the
+        # per-lane bitset path.  Only the missing optional dependency
+        # refuses.
         if not numpy_available():
             return (
                 "numpy is not installed; install the repro[fast] extra "
@@ -106,7 +119,8 @@ class BatchBackend(EngineBackend):
         return None
 
     def execution_mode(self, algorithm, adversary) -> str:
-        """``"vectorized"`` or ``"fallback"`` — how a scenario would execute."""
+        """How a scenario would execute: ``"vectorized"`` (lockstep lanes) or
+        ``"fallback"`` (the per-lane bitset path)."""
         return "vectorized" if can_vectorize(algorithm, adversary) else "fallback"
 
     def run(
@@ -121,7 +135,7 @@ class BatchBackend(EngineBackend):
         keep_trace: bool = True,
         tracer=None,
     ) -> ExecutionResult:
-        """Run one execution: a single-lane batch kernel, or the bitset fallback."""
+        """Run one execution: a single-lane batch kernel, or the bitset kernel."""
         require_numpy("the batch backend")
         if can_vectorize(algorithm, adversary):
             kernel = BatchKernel(
@@ -135,7 +149,7 @@ class BatchBackend(EngineBackend):
                 tracer=tracer,
             )
             return kernel.run()[0]
-        return self._run_fallback(
+        return _PER_LANE.run(
             problem,
             algorithm,
             adversary,
@@ -145,38 +159,6 @@ class BatchBackend(EngineBackend):
             keep_trace=keep_trace,
             tracer=tracer,
         )
-
-    def _run_fallback(
-        self,
-        problem,
-        algorithm,
-        adversary,
-        *,
-        max_rounds: Optional[int],
-        seed: SeedLike,
-        require_connected: bool,
-        keep_trace: bool,
-        tracer=None,
-    ) -> ExecutionResult:
-        logger.debug(
-            "batch backend falling back to serial bitset execution for "
-            "algorithm %r / adversary %r",
-            getattr(algorithm, "name", type(algorithm).__name__),
-            getattr(adversary, "name", type(adversary).__name__),
-        )
-        kernel = RoundKernel(
-            problem,
-            algorithm,
-            adversary,
-            state_factory=BitsetKnowledgeState,
-            allow_fast_programs=True,
-            max_rounds=max_rounds,
-            seed=seed,
-            require_connected=require_connected,
-            keep_trace=keep_trace,
-            tracer=tracer,
-        )
-        return kernel.run()
 
     def run_batch(
         self,
@@ -186,7 +168,7 @@ class BatchBackend(EngineBackend):
         keep_trace: bool = True,
         tracer=None,
     ) -> List[ExecutionResult]:
-        """Run repetitions of one spec, vectorized when the scenario allows.
+        """Run repetitions of one spec: lockstep lanes or one lane at a time.
 
         Args:
             spec: the :class:`~repro.scenarios.spec.ScenarioSpec` to run.
@@ -195,15 +177,14 @@ class BatchBackend(EngineBackend):
                 order.
             keep_trace: forwarded to the kernels.
 
-        Vectorized path: one shared problem (the problem seed has no
-        repetition component, so every repetition's problem is identical by
-        construction), one adversary instance and one seed per lane.
-        Fallback path: one fully materialized serial execution per
-        repetition.
+        Both paths share one problem: the problem seed has no repetition
+        component, so every repetition's problem is identical by
+        construction.  Each lane gets its own seed and adversary instance;
+        the per-lane path also gives each lane a fresh algorithm.
         """
         require_numpy("the batch backend")
         # Imported lazily: the scenario layer imports repro.backends.
-        from repro.scenarios.registry import ADVERSARY_REGISTRY
+        from repro.scenarios.registry import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY
         from repro.scenarios.runner import materialize, repetition_seed
 
         if repetitions is None:
@@ -213,11 +194,9 @@ class BatchBackend(EngineBackend):
         seeds = [repetition_seed(spec, repetition) for repetition in repetitions]
 
         scenario = materialize(spec)
+        new_adversary = ADVERSARY_REGISTRY.bind(spec.adversary, **spec.adversary_params)
+        adversaries = [scenario.adversary] + [new_adversary() for _ in repetitions[1:]]
         if can_vectorize(scenario.algorithm, scenario.adversary):
-            adversaries = [scenario.adversary] + [
-                ADVERSARY_REGISTRY.create(spec.adversary, **spec.adversary_params)
-                for _ in repetitions[1:]
-            ]
             kernel = BatchKernel(
                 scenario.problem,
                 scenario.algorithm,
@@ -229,19 +208,18 @@ class BatchBackend(EngineBackend):
             )
             return kernel.run()
 
-        results = []
-        for repetition, seed in zip(repetitions, seeds):
-            lane = materialize(spec)
-            results.append(
-                self._run_fallback(
-                    lane.problem,
-                    lane.algorithm,
-                    lane.adversary,
-                    max_rounds=spec.max_rounds,
-                    seed=seed,
-                    require_connected=True,
-                    keep_trace=keep_trace,
-                    tracer=tracer,
-                )
+        new_algorithm = ALGORITHM_REGISTRY.bind(spec.algorithm, **spec.algorithm_params)
+        algorithms = [scenario.algorithm] + [new_algorithm() for _ in repetitions[1:]]
+        return [
+            _PER_LANE.run(
+                scenario.problem,
+                algorithm,
+                adversary,
+                max_rounds=spec.max_rounds,
+                seed=seed,
+                keep_trace=keep_trace,
+                tracer=tracer,
             )
-        return results
+            for algorithm, adversary, seed in zip(algorithms, adversaries, seeds)
+        ]
+

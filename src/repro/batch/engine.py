@@ -21,13 +21,14 @@ stopped, so traces and adversary RNG consumption stay identical.
 
 Only oblivious adversaries are admitted: vectorized lanes never build round
 observations, which is precisely the case where lockstep execution cannot
-diverge from serial execution.  The batch *backend* (not this kernel) routes
-adaptive scenarios to per-lane serial fallback.
+diverge from serial execution.  The batch *backend* (not this kernel) runs
+adaptive scenarios, and algorithms without a batch program, one lane at a
+time on the bitset kernel.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.batch.programs import BatchRoundProgram, LaneAccounting
 from repro.core.events import EventLog
@@ -46,7 +47,8 @@ class BatchKernel:
         problem: the shared dissemination instance (identical across
             repetitions by construction — the problem seed has no
             repetition component).
-        algorithm: an algorithm exposing :meth:`batch_program_factory`.
+        algorithm: an algorithm whose :meth:`batch_program_factory` returns
+            a lockstep program.
         adversaries: one adversary instance per lane; all must be oblivious.
         seeds: one base seed per lane, in lane order.
         max_rounds: round limit; defaults to
@@ -161,23 +163,13 @@ class BatchKernel:
             else None
         )
 
-    def stages_advanced(self, round_index: int) -> bool:
-        """Whether the per-lane adversary stages stepped this round.
-
-        False once every lane's topology has gone steady: from then on
-        ``stages[lane].inserted_ids`` / ``removed_ids`` hold stale values
-        from the last stepped round, and programs tracking per-edge history
-        must not re-consume them.
-        """
-        return self._steady_round is None or round_index <= self._steady_round
-
     def _advance_graphs(self, round_index: int) -> None:
         """Advance the adversary stage of every active lane.
 
         Inactive lanes are frozen: their traces, adjacency and adversary RNG
         stop exactly where the equivalent serial run stopped.
         """
-        if not self.stages_advanced(round_index):
+        if self._steady_round is not None and round_index > self._steady_round:
             # Every lane's topology (and dense adjacency) is frozen; traces
             # are caught up in bulk after the round loop.
             return

@@ -3,17 +3,20 @@
 A :class:`BatchRoundProgram` is the many-repetition analogue of the serial
 :class:`~repro.core.rounds.RoundProgram`: one program instance steps *all
 lanes* (independently seeded repetitions of the same problem) of a
-:class:`~repro.batch.engine.BatchKernel` through each round.  Lanes that
-complete early are masked out via the kernel's ``active_lanes`` array, never
-resized — a program must not send, count or learn anything for an inactive
-lane.
+:class:`~repro.batch.engine.BatchKernel` through each round with bulk numpy
+operations over ``(lanes, n)`` arrays.  Lanes that complete early are masked
+out via the kernel's ``active_lanes`` array, never resized — a program must
+not send, count or learn anything for an inactive lane.
 
-Batch programs live next to their algorithms (exposed through
-:meth:`~repro.algorithms.base.TokenForwardingAlgorithm.batch_program_factory`),
-exactly like the PR 5 fast programs, and are held to the same bar: the
-per-lane results the kernel assembles must be *field-identical* to running
-each repetition serially — same rounds, same message statistics by
-kind/round/node, same token-learning event order.
+Only algorithms whose rounds really step in lockstep ship one (flooding,
+one-shot-flooding, naive-unicast), next to their algorithm and exposed
+through :meth:`~repro.algorithms.base.TokenForwardingAlgorithm.
+batch_program_factory`.  Algorithms with per-edge choices (the unicast
+family) run under the batch backend one lane at a time on their bitset fast
+programs instead.  A batch program is held to the same bar as a fast
+program: the per-lane results the kernel assembles must be
+*field-identical* to running each repetition serially — same rounds, same
+message statistics by kind/round/node, same token-learning event order.
 
 :class:`LaneAccounting` is the per-lane counterpart of the serial
 :class:`~repro.core.rounds.AccountingStage`: message counters are
@@ -60,25 +63,15 @@ class LaneAccounting:
             raise ConfigurationError("begin_round called while a round is already open")
         self._current_column = self.np.zeros(self.lanes, dtype=self.np.int64)
 
-    def _kind_array(self, kind_value: str):
+    def count_lanes(self, kind_value: str, amounts) -> None:
+        """Count ``amounts[lane]`` messages of one kind for every lane at once."""
         totals = self.kind_totals.get(kind_value)
         if totals is None:
             totals = self.kind_totals[kind_value] = self.np.zeros(
                 self.lanes, dtype=self.np.int64
             )
-        return totals
-
-    def count_lanes(self, kind_value: str, amounts) -> None:
-        """Count ``amounts[lane]`` messages of one kind for every lane at once."""
-        self._kind_array(kind_value)
-        self.kind_totals[kind_value] += amounts
+        totals += amounts
         self._current_column += amounts
-
-    def count_lane(self, lane: int, kind_value: str, amount: int) -> None:
-        """Count ``amount`` messages of one kind on a single lane."""
-        if amount:
-            self._kind_array(kind_value)[lane] += amount
-            self._current_column[lane] += amount
 
     def close_round(self) -> None:
         if self._current_column is None:

@@ -308,14 +308,14 @@ def _sweep_oblivious_spec(num_nodes: int, repetitions: int) -> ScenarioSpec:
 def sweep_grid(quick: bool) -> List[ScenarioSpec]:
     """The multi-repetition sweep grid; ``quick`` is the CI-sized subset.
 
-    Both grids cover one cell per batch-vectorized algorithm — all seven
-    registered algorithms — and include the 32-repetition flooding sweep
-    at n=128, the scenario the batch perf gate (``--min-batch-speedup``)
-    is pinned to.  Cell sizes are tuned per algorithm: the bulk-vectorized
-    programs (flooding, one-shot-flooding, naive-unicast) win on large
-    lockstep rounds, while the per-lane replay programs (the unicast
-    family) win on setup amortization, so their cells are small-n,
-    many-repetition sweeps.
+    Both grids cover one cell per registered algorithm — all seven run
+    through the batch backend — and include the 32-repetition flooding
+    sweep at n=128, the scenario the batch perf gate
+    (``--min-batch-speedup``) is pinned to.  Cell sizes are tuned per
+    algorithm: the bulk lockstep programs (flooding, one-shot-flooding,
+    naive-unicast) win on large lockstep rounds, while the unicast family
+    runs per lane and wins only on shared per-spec set-up, so their cells
+    are small-n, many-repetition sweeps.
     """
     grid = [
         _sweep_flooding_spec(128, 32),

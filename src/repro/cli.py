@@ -1306,7 +1306,7 @@ def command_list(args: argparse.Namespace) -> int:
         BACKEND_REGISTRY,
     ]
     # Capability discovery, not a hardcoded allowlist: the algorithms are
-    # probed for native bit-level round programs and vectorized batch
+    # probed for native bit-level round programs and lockstep batch
     # programs.
     fast_paths = fast_path_names()
     batch_programs = batch_program_names()

@@ -21,6 +21,7 @@ helpful message.
 from __future__ import annotations
 
 import difflib
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -95,6 +96,15 @@ class RegistryEntry:
 
     def create(self, **params: Any) -> Any:
         """Instantiate the component with defaults overridden by ``params``."""
+        return self.bind(**params)()
+
+    def bind(self, **params: Any) -> Callable[[], Any]:
+        """Validate ``params`` once; return a zero-argument constructor.
+
+        For callers that build many identical instances (one per repetition
+        of a batch): each call of the result is ``create(**params)`` without
+        re-inspecting the factory's signature.
+        """
         merged = dict(self.defaults)
         merged.update(params)
         unknown = [name for name in merged if not self.accepts(name)]
@@ -111,7 +121,7 @@ class RegistryEntry:
             raise ConfigurationError(
                 f"{self.name!r} requires parameter(s) {missing}"
             )
-        return self.factory(**merged)
+        return functools.partial(self.factory, **merged)
 
     def describe(self) -> Dict[str, Any]:
         """A JSON-ready summary of the entry."""
@@ -202,6 +212,10 @@ class Registry:
     def create(self, name: str, **params: Any) -> Any:
         """Instantiate the component registered under ``name``."""
         return self.get(name).create(**params)
+
+    def bind(self, name: str, **params: Any) -> Callable[[], Any]:
+        """A validated zero-argument constructor (see :meth:`RegistryEntry.bind`)."""
+        return self.get(name).bind(**params)
 
     def names(self) -> List[str]:
         """All registered names, sorted."""

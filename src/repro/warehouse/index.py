@@ -67,9 +67,12 @@ logger = get_logger(__name__)
 #: The index database file, inside the store directory it indexes.
 INDEX_FILENAME = "warehouse.sqlite"
 
-#: Bumped whenever the table layout changes; mismatching indexes must be
-#: rebuilt (cheap — the JSONL shards hold everything).
-INDEX_SCHEMA_VERSION = 1
+#: Bumped whenever the table layout changes.  An index written with an
+#: older version is dropped and re-derived from the JSONL shards on open
+#: (cheap — the shards hold everything); a newer one is refused.  Version 2
+#: stores ``seed`` as decimal text: derived seeds span the full unsigned
+#: 64-bit range, past sqlite's signed INTEGER.
+INDEX_SCHEMA_VERSION = 2
 
 _LOCK_NAME = ".lock"
 _BUSY_TIMEOUT_MS = 5000
@@ -97,7 +100,7 @@ CREATE TABLE IF NOT EXISTS runs (
     n            INTEGER NOT NULL,
     k            INTEGER NOT NULL,
     s            INTEGER NOT NULL,
-    seed         INTEGER NOT NULL,
+    seed         TEXT NOT NULL,
     completed    INTEGER NOT NULL,
     rounds       INTEGER NOT NULL,
     total_messages INTEGER NOT NULL,
@@ -198,7 +201,7 @@ def _run_row(record: RunRecord, shard_id: str) -> Tuple[Any, ...]:
         record.n,
         record.k,
         record.s,
-        record.seed,
+        str(record.seed),
         1 if record.completed else 0,
         record.rounds,
         record.total_messages,
@@ -250,17 +253,20 @@ class WarehouseIndex:
                 row = self._conn.execute(
                     "SELECT value FROM meta WHERE key = 'index_schema_version'"
                 ).fetchone()
+                if row is not None and row[0] != str(INDEX_SCHEMA_VERSION):
+                    if not row[0].isdigit() or int(row[0]) > INDEX_SCHEMA_VERSION:
+                        raise ConfigurationError(
+                            f"warehouse index {self._db_path} has schema version "
+                            f"{row[0]}, this build writes {INDEX_SCHEMA_VERSION}; "
+                            f"run 'repro warehouse rebuild {self._store_path}'"
+                        )
+                    self._drop_tables(row[0])
+                    row = None
                 if row is None:
                     self._conn.execute(
                         "INSERT INTO meta (key, value) VALUES "
                         "('index_schema_version', ?), ('mutation', '0')",
                         (str(INDEX_SCHEMA_VERSION),),
-                    )
-                elif row[0] != str(INDEX_SCHEMA_VERSION):
-                    raise ConfigurationError(
-                        f"warehouse index {self._db_path} has schema version "
-                        f"{row[0]}, this build writes {INDEX_SCHEMA_VERSION}; "
-                        f"run 'repro warehouse rebuild {self._store_path}'"
                     )
         except sqlite3.DatabaseError as error:
             raise ConfigurationError(
@@ -268,6 +274,29 @@ class WarehouseIndex:
                 f"run 'repro warehouse rebuild {self._store_path}' to re-derive "
                 f"it from the JSONL shards"
             ) from error
+
+    def _drop_tables(self, old_version: str) -> None:
+        """Replace an older-layout index with empty current tables.
+
+        The emptied ``shards`` table makes the next :meth:`sync` re-read
+        every shard, re-deriving all rows in the current layout.
+        """
+        logger.info(
+            "warehouse index %s has schema version %s; re-deriving it as "
+            "version %d from the JSONL shards",
+            self._db_path,
+            old_version,
+            INDEX_SCHEMA_VERSION,
+        )
+        tables = [
+            name
+            for (name,) in self._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+        ]
+        for name in tables:
+            self._conn.execute(f'DROP TABLE "{name}"')
+        self._conn.executescript(_SCHEMA)
 
     # -- plumbing ----------------------------------------------------------
 

@@ -14,9 +14,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.api import Experiment
+from repro.api import Experiment, vectorizable_group
 from repro.backends import BatchBackend, get_backend
-from repro.backends.differential import validate_backends
+from repro.backends.differential import diff_results, validate_backends
 from repro.batch.backend import can_vectorize_spec
 from repro.core.events import (
     SEG_COLUMN,
@@ -31,7 +31,7 @@ from repro.core.tokens import Token
 from repro.dynamics.graph_sequence import EdgeIdTrace
 from repro.scenarios import ScenarioSpec, run_spec
 from repro.scenarios.registry import ADVERSARY_REGISTRY
-from repro.scenarios.runner import record_from_result, repetition_seed
+from repro.scenarios.runner import record_from_result, repetition_seed, run_scenario
 from repro.utils.validation import ConfigurationError
 
 
@@ -253,33 +253,23 @@ class TestBatchIdentity:
         assert batch == serial
 
     def test_single_source_vectorized_records_match_serial(self):
-        """The single-source batch program replays the fast program per lane.
+        """Single-source runs per lane on its fast program over one problem.
 
-        churn keeps inserting/removing edges every round, so the per-lane
-        edge histories (the new > idle > contributive request priority) are
-        exercised; the steady static adversary exercises the
-        stages_advanced guard (stale stage inserted_ids after the steady
-        round must not be re-consumed).
+        churn keeps inserting/removing edges every round, so each lane's
+        edge history (the new > idle > contributive request priority) is
+        exercised; the static-random adversary goes steady after round 1.
         """
         for adversary, params in (("churn", {}), ("static-random", {"num_nodes": 10})):
-            spec = flooding_spec(
-                problem_params={"num_nodes": 10, "num_tokens": 8},
-                algorithm="single-source",
-                algorithm_params={},
-                adversary=adversary,
-                adversary_params=params,
-                seed=7,
-            )
-            assert can_vectorize_spec(spec)
-            serial = run_spec(spec)
-            results = BatchBackend().run_batch(spec)
-            batch = [
-                record_from_result(
-                    spec, repetition, repetition_seed(spec, repetition), result
+            assert_batch_matches_serial(
+                flooding_spec(
+                    problem_params={"num_nodes": 10, "num_tokens": 8},
+                    algorithm="single-source",
+                    algorithm_params={},
+                    adversary=adversary,
+                    adversary_params=params,
+                    seed=7,
                 )
-                for repetition, result in enumerate(results)
-            ]
-            assert batch == serial, adversary
+            )
 
     def test_fallback_records_match_serial(self):
         spec = adaptive_spec()
@@ -293,14 +283,26 @@ class TestBatchIdentity:
         assert batch == serial
 
     def test_run_batch_honors_repetition_subset(self):
-        spec = flooding_spec(repetitions=5)
-        all_results = BatchBackend().run_batch(spec)
-        subset = BatchBackend().run_batch(spec, repetitions=[1, 3])
-        assert [r.rounds for r in subset] == [
-            all_results[1].rounds,
-            all_results[3].rounds,
-        ]
-        assert BatchBackend().run_batch(spec, repetitions=[]) == []
+        single_source_churn = flooding_spec(
+            repetitions=5,
+            algorithm="single-source",
+            algorithm_params={},
+            adversary="churn",
+            adversary_params={},
+        )
+        for spec in (flooding_spec(repetitions=5), single_source_churn):
+            all_results = BatchBackend().run_batch(spec)
+            subset = BatchBackend().run_batch(spec, repetitions=[1, 3])
+            assert [
+                record_from_result(spec, rep, repetition_seed(spec, rep), result)
+                for rep, result in zip([1, 3], subset)
+            ] == [
+                record_from_result(
+                    spec, rep, repetition_seed(spec, rep), all_results[rep]
+                )
+                for rep in [1, 3]
+            ], spec.algorithm
+            assert BatchBackend().run_batch(spec, repetitions=[]) == []
 
     def test_differential_validation_accepts_batch(self):
         report = validate_backends(
@@ -361,23 +363,27 @@ class TestExperimentAutoBatching:
 
 
 def assert_batch_matches_serial(spec):
-    """Run ``spec`` both ways and require field-identical records."""
+    """Run ``spec`` both ways and require field-identical results.
+
+    Traces are kept on both sides, so every round graph is compared too.
+    """
     assert can_vectorize_spec(spec), spec.algorithm
-    serial = run_spec(spec)
-    results = BatchBackend().run_batch(spec)
-    batch = [
-        record_from_result(spec, repetition, repetition_seed(spec, repetition), result)
-        for repetition, result in enumerate(results)
-    ]
-    assert batch == serial, spec.label
+    results = BatchBackend().run_batch(spec, keep_trace=True)
+    for repetition, result in enumerate(results):
+        serial = run_scenario(spec, repetition, keep_trace=True)
+        assert serial.trace.keeps_history and result.trace.keeps_history
+        assert diff_results(serial, result, compare_graphs=True) == [], spec.label
+        seed = repetition_seed(spec, repetition)
+        assert record_from_result(spec, repetition, seed, result) == (
+            record_from_result(spec, repetition, seed, serial)
+        ), spec.label
 
 
 class TestFullGridIdentity:
-    """Per-round lockstep identity for the programs added to the grid.
+    """Batch records equal serial records for every algorithm of the grid.
 
-    Every registered algorithm now ships a batch program; these tests pin
-    the per-lane replay programs (multi-source, oblivious two-phase) and
-    the bulk-vectorized rewrites (one-shot-flooding, naive-unicast) to the
+    These tests pin the per-lane path (multi-source, oblivious two-phase)
+    and the bulk lockstep programs (one-shot-flooding, naive-unicast) to the
     serial bitset kernel, field for field — rounds, message statistics,
     event order, completion — under both churning and steady topologies.
     """
@@ -475,11 +481,55 @@ class TestFullGridIdentity:
                 )
             )
 
-    def test_every_registered_algorithm_has_a_batch_program(self):
+    def test_only_lockstep_algorithms_have_a_batch_program(self):
         from repro.batch.backend import batch_program_names
-        from repro.scenarios.registry import ALGORITHM_REGISTRY
 
-        assert batch_program_names() == sorted(ALGORITHM_REGISTRY.names())
+        assert batch_program_names() == [
+            "flooding",
+            "naive-unicast",
+            "one-shot-flooding",
+        ]
+
+
+#: Whether ``vectorizable_group(spec, 2)`` sends a group to ``run_batch``,
+#: per adversary: every registered algorithm batches under the oblivious
+#: adversaries and stays off the batch path under the adaptive one.
+BATCH_ROUTING = {
+    "churn": True,
+    "static-random": True,
+    "static": True,
+    "adaptive-rewiring": False,
+}
+ROUTED_ALGORITHMS = [
+    "flooding",
+    "multi-source",
+    "naive-unicast",
+    "oblivious",
+    "one-shot-flooding",
+    "single-source",
+    "spanning-tree",
+]
+
+
+def test_routing_covers_every_registered_algorithm():
+    from repro.scenarios.registry import ALGORITHM_REGISTRY
+
+    assert sorted(ALGORITHM_REGISTRY.names()) == ROUTED_ALGORITHMS
+
+
+@pytest.mark.parametrize("adversary", sorted(BATCH_ROUTING))
+@pytest.mark.parametrize("algorithm", ROUTED_ALGORITHMS)
+def test_batch_routing_is_unchanged(algorithm, adversary):
+    spec = ScenarioSpec(
+        problem="single-source",
+        problem_params={"num_nodes": 8, "num_tokens": 4},
+        algorithm=algorithm,
+        adversary=adversary,
+        adversary_params={"num_nodes": 8} if adversary == "static-random" else {},
+        repetitions=2,
+    )
+    assert vectorizable_group(spec, 2) is BATCH_ROUTING[adversary]
+    assert vectorizable_group(spec, 1) is False
 
 
 class TestBatchSpeedupGate:

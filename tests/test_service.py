@@ -10,6 +10,7 @@ it mid-run.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import io
 import json
 import multiprocessing
@@ -339,6 +340,9 @@ class TestCrashResume:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            # Its own session, so the daemon and everything it spawns (pool
+            # worker, resource tracker) form one process group to kill.
+            start_new_session=True,
         )
         line = process.stdout.readline()
         assert "listening" in line, line
@@ -378,8 +382,11 @@ class TestCrashResume:
                     pass
             client.close()
         finally:
-            daemon.kill()
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(daemon.pid, signal.SIGKILL)
             daemon.wait(timeout=30)
+            daemon.stdout.close()
+        assert _surviving_group_members(daemon.pid) == []
 
         persisted = len(RunStore(store).records())
         assert 1 <= persisted < total
@@ -405,6 +412,40 @@ class TestCrashResume:
                 client.shutdown()
             daemon.wait(timeout=30)
             assert daemon.returncode == 0
+
+
+def _surviving_group_members(pgid, timeout=10.0):
+    """Pids still running in process group ``pgid`` once ``timeout`` expires.
+
+    Zombies count as gone: they have exited and only wait to be reaped.
+    Reads ``/proc`` where it exists; elsewhere probes the group with signal 0
+    (which also sees zombies).
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        if os.path.isdir("/proc"):
+            members = []
+            for entry in os.listdir("/proc"):
+                if not entry.isdigit():
+                    continue
+                try:
+                    with open(f"/proc/{entry}/stat") as handle:
+                        stat = handle.read()
+                except OSError:
+                    continue
+                # After the parenthesised command name: state, ppid, pgrp, ...
+                state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+                if int(pgrp) == pgid and state != "Z":
+                    members.append(int(entry))
+        else:
+            try:
+                os.killpg(pgid, 0)
+                members = [pgid]
+            except ProcessLookupError:
+                members = []
+        if not members or time.monotonic() >= deadline:
+            return members
+        time.sleep(0.05)
 
 
 def _append_records_worker(store_path, lines, start):

@@ -114,6 +114,68 @@ class TestSync:
             WarehouseIndex(tmp_path / "nowhere")
 
 
+class TestSeedColumn:
+    """Derived repetition seeds span the unsigned 64-bit range."""
+
+    def big_seed_spec(self):
+        return ScenarioSpec(
+            problem="single-source",
+            problem_params={"num_nodes": 8, "num_tokens": 10},
+            algorithm="single-source",
+            adversary="churn",
+            adversary_params={"changes_per_round": 2},
+            repetitions=2,
+            seed=10_000_000,
+        )
+
+    def test_seeds_past_signed_64_bit_sync_and_round_trip(self, tmp_path, capsys):
+        spec = self.big_seed_spec()
+        store = populated_store(tmp_path, [spec])
+        seeds = {record.repetition: record.seed for record in store.records()}
+        assert max(seeds.values()) >= 2**63
+        index = WarehouseIndex(store.path)
+        assert index.sync().rows_added == 2
+        stored = dict(
+            index.connection.execute("SELECT repetition, seed FROM runs").fetchall()
+        )
+        assert {rep: int(seed) for rep, seed in stored.items()} == seeds
+        index.close()
+
+        assert main(["analyze", str(store.path)]) == 0
+        captured = capsys.readouterr()
+        assert "skipped via watermarks" in captured.err  # routed through the index
+        plain = populated_store(tmp_path, [spec], name="noindex")
+        assert main(["analyze", str(plain.path)]) == 0
+        assert captured.out == capsys.readouterr().out
+
+    def test_older_schema_is_rederived_from_shards(self, tmp_path):
+        store = populated_store(tmp_path)
+        index = WarehouseIndex(store.path)
+        index.sync()
+        index.connection.execute(
+            "UPDATE meta SET value = '1' WHERE key = 'index_schema_version'"
+        )
+        index.connection.commit()
+        index.close()
+        reopened = WarehouseIndex(store.path)
+        assert reopened.count() == 0
+        stats = reopened.sync()
+        assert stats.shards_read == 2
+        assert reopened.count() == len(store.records())
+        assert reopened.query().aggregate() == aggregate(store.query())
+
+    def test_newer_schema_is_refused(self, tmp_path):
+        store = populated_store(tmp_path)
+        index = WarehouseIndex(store.path)
+        index.connection.execute(
+            "UPDATE meta SET value = '99' WHERE key = 'index_schema_version'"
+        )
+        index.connection.commit()
+        index.close()
+        with pytest.raises(ConfigurationError, match="schema version 99"):
+            WarehouseIndex(store.path)
+
+
 class TestRebuildAndCorruption:
     def test_rebuild_recovers_from_corruption(self, tmp_path):
         store = populated_store(tmp_path)
