@@ -19,12 +19,12 @@ from benchmarks.helpers import print_section, run_once, summary_table
 from repro.adversaries.lower_bound import LowerBoundAdversary
 from repro.algorithms.flooding import FloodingAlgorithm
 from repro.analysis.bounds import flooding_amortized_upper_bound, local_broadcast_lower_bound
-from repro.analysis.experiments import fit_power_law
 from repro.analysis.potential import PotentialTracker
 from repro.core.engine import Simulator
 from repro.core.messages import TokenMessage
 from repro.core.observation import RoundObservation
 from repro.core.problem import random_assignment_problem
+from repro.results import fit_power_law
 
 SIZES = [8, 12, 16, 20]
 

@@ -15,7 +15,6 @@ from benchmarks.helpers import print_section, run_once, run_spec_once, summary_t
 from repro.adversaries import ScheduleAdversary
 from repro.algorithms.multi_source import MultiSourceUnicastAlgorithm
 from repro.analysis.bounds import multi_source_competitive_bound
-from repro.analysis.experiments import fit_power_law
 from repro.core.messages import MessageKind
 from repro.core.problem import uniform_multi_source_problem
 from repro.dynamics.generators import churn_schedule

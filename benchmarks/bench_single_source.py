@@ -15,10 +15,10 @@ from benchmarks.helpers import print_section, run_once, run_spec_once, summary_t
 from repro.adversaries import ScheduleAdversary
 from repro.algorithms.single_source import SingleSourceUnicastAlgorithm
 from repro.analysis.bounds import single_source_competitive_bound, single_source_round_bound
-from repro.analysis.experiments import fit_power_law
 from repro.core.problem import single_source_problem
 from repro.dynamics.generators import churn_schedule
 from repro.dynamics.stability import stabilize_schedule
+from repro.results import fit_power_law
 from repro.scenarios import ScenarioSpec
 
 N_SWEEP = [8, 12, 16, 24]

@@ -18,9 +18,9 @@ import pytest
 from benchmarks.helpers import print_section, run_once, summary_table
 from repro.adversaries import ScheduleAdversary
 from repro.algorithms.oblivious_multi_source import ObliviousMultiSourceAlgorithm
-from repro.analysis.reporting import render_table1
 from repro.core.problem import uniform_multi_source_problem
 from repro.dynamics.generators import rewiring_regular_schedule
+from repro.results import render_table1
 
 ANALYTIC_N = 4096
 SIM_N = 18

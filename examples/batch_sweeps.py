@@ -1,10 +1,9 @@
 """Vectorized batch sweeps: run every repetition of a grid cell in lockstep.
 
-The batch backend (``repro.batch``, needs the ``repro[fast]`` numpy extra)
-executes all pending repetitions of one scenario as *lanes* of a single
-vectorized kernel: one ``(lanes, n, k)`` knowledge cube, one program, and
-per-lane adversaries/RNG streams that replay exactly what serial runs would
-have drawn.  This example shows the three ways to reach it:
+The batch backend (``repro.batch``) executes all pending repetitions of one
+scenario as *lanes* of a single vectorized kernel: one ``(lanes, n, k)``
+knowledge cube, one program, and per-lane adversaries/RNG streams that
+replay exactly what serial runs would have drawn.  This example shows the three ways to reach it:
 
 1. explicitly, through ``BatchBackend.run_batch`` — one call, one record per
    repetition, byte-identical to running each repetition serially;
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import time
 
-from repro.core.state import numpy_available
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.runner import record_from_result, repetition_seed, run_spec
 
@@ -108,9 +106,6 @@ def adaptive_scenarios_fall_back() -> None:
 
 
 def main() -> None:
-    if not numpy_available():
-        print("numpy is not installed (pip install repro[fast]); skipping demo")
-        return
     run_batch_explicitly()
     print()
     run_batch_through_the_pipeline()

@@ -21,8 +21,8 @@ Quickstart::
     ).run()
     print(result.total_messages, result.amortized_adversary_competitive_messages())
 
-Or declaratively, through the Scenario API (registries + serializable specs
-+ a parallel batch runner)::
+Or declaratively, through the Scenario API (registries + serializable
+specs)::
 
     from repro import ScenarioSpec, run_scenario
 
@@ -125,7 +125,6 @@ from repro.scenarios import (
     ADVERSARY_REGISTRY,
     ALGORITHM_REGISTRY,
     PROBLEM_REGISTRY,
-    ScenarioRunner,
     ScenarioSpec,
     materialize,
     register_adversary,
@@ -140,21 +139,18 @@ from repro.results import (
     RunStore,
     aggregate,
     compare_to_bounds,
+    fit_power_law,
+    format_table,
     register_bound,
     render_report,
+    render_table1,
 )
 from repro.analysis import (
-    ExperimentRecord,
-    ExperimentRunner,
     PotentialTracker,
-    aggregate_records,
-    fit_power_law,
     flooding_amortized_upper_bound,
-    format_table,
     local_broadcast_lower_bound,
     multi_source_competitive_bound,
     oblivious_amortized_bound,
-    render_table1,
     single_source_competitive_bound,
     table1_rows,
 )
@@ -252,7 +248,6 @@ __all__ = [
     "ADVERSARY_REGISTRY",
     "ALGORITHM_REGISTRY",
     "PROBLEM_REGISTRY",
-    "ScenarioRunner",
     "ScenarioSpec",
     "materialize",
     "register_adversary",
@@ -266,20 +261,17 @@ __all__ = [
     "RunStore",
     "aggregate",
     "compare_to_bounds",
+    "fit_power_law",
+    "format_table",
     "register_bound",
     "render_report",
+    "render_table1",
     # analysis
-    "ExperimentRecord",
-    "ExperimentRunner",
     "PotentialTracker",
-    "aggregate_records",
-    "fit_power_law",
     "flooding_amortized_upper_bound",
-    "format_table",
     "local_broadcast_lower_bound",
     "multi_source_competitive_bound",
     "oblivious_amortized_bound",
-    "render_table1",
     "single_source_competitive_bound",
     "table1_rows",
 ]

@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.algorithms.base import LocalBroadcastAlgorithm
 from repro.batch.programs import BatchRoundProgram
 from repro.core.messages import MessageKind, Payload, TokenMessage
@@ -211,7 +213,6 @@ class _FloodingBatchProgram(BatchRoundProgram):
         phase = commitment
         if phase >= self.k:
             return
-        np = self.np
         active = self.kernel.active_lanes
         holders = self.state.holders_column(phase)
         senders = holders & active[:, None]
@@ -380,7 +381,6 @@ class _OneShotFloodingBatchProgram(BatchRoundProgram):
     needs_dense_adjacency = True
 
     def setup(self) -> None:
-        np = self.np
         initial = self.kernel.problem.initial_knowledge
         token_index = self.kernel.token_index
         lanes = self.kernel.lanes
@@ -398,7 +398,6 @@ class _OneShotFloodingBatchProgram(BatchRoundProgram):
         self._saturated = False
 
     def commit(self, round_index: int) -> Tuple[object, object]:
-        np = self.np
         senders = (self.qhead < self.qtail) & self.kernel.active_lanes[:, None]
         # Head tokens for every node at once; the clip keeps empty-queue
         # reads in bounds — they are masked out by ``senders`` anyway.
@@ -408,7 +407,6 @@ class _OneShotFloodingBatchProgram(BatchRoundProgram):
         return senders, token_of
 
     def deliver(self, round_index: int, commitment) -> None:
-        np = self.np
         senders, token_of = commitment
         counts = senders.sum(axis=1)
         self.accounting.count_lanes(_KIND_TOKEN, counts)

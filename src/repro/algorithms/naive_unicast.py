@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.algorithms.base import UnicastAlgorithm
 from repro.batch.programs import BatchRoundProgram
 from repro.core.messages import MessageKind, Payload, TokenMessage
@@ -195,7 +197,6 @@ class _NaiveUnicastBatchProgram(BatchRoundProgram):
     needs_dense_adjacency = True
 
     def setup(self) -> None:
-        np = self.np
         lanes = self.kernel.lanes
         n = self.n
         self.words = (self.k + 63) // 64
@@ -213,7 +214,6 @@ class _NaiveUnicastBatchProgram(BatchRoundProgram):
         self.considered = np.zeros((lanes, n, n), dtype=np.bool_)
 
     def deliver(self, round_index: int, commitment) -> None:
-        np = self.np
         n = self.n
         pairs = (self.kernel.dense_adj > 0.5) & self.kernel.active_lanes[:, None, None]
         self.considered |= pairs

@@ -1,4 +1,4 @@
-"""Analysis tools: closed-form bounds, potential tracking, experiments, reports.
+"""Analysis tools: the paper's closed-form bounds and the lower-bound potential.
 
 This package turns raw :class:`~repro.core.result.ExecutionResult` objects
 into the quantities the paper reports:
@@ -6,11 +6,11 @@ into the quantities the paper reports:
 * :mod:`repro.analysis.bounds` — closed-form evaluations of every bound
   stated in the paper (Theorems 2.3, 3.1, 3.4, 3.5, 3.6, 3.8 and Table 1);
 * :mod:`repro.analysis.potential` — the potential function ``Φ(t)`` of the
-  Section-2 lower-bound argument;
-* :mod:`repro.analysis.experiments` — a small experiment runner with
-  parameter sweeps, repetition handling and power-law fitting;
-* :mod:`repro.analysis.reporting` — plain-text table renderers used by the
-  benchmark harnesses and EXPERIMENTS.md.
+  Section-2 lower-bound argument.
+
+Running experiments, aggregating their records, fitting scaling exponents
+(``fit_power_law``) and rendering tables (``format_table``,
+``render_table1``) live in :mod:`repro.api` and :mod:`repro.results`.
 """
 
 from repro.analysis.bounds import (
@@ -28,19 +28,6 @@ from repro.analysis.bounds import (
     single_source_round_bound,
 )
 from repro.analysis.potential import PotentialTracker, potential_of_knowledge
-from repro.analysis.experiments import (
-    ExperimentRecord,
-    ExperimentRunner,
-    aggregate_records,
-    fit_power_law,
-    scaling_exponent,
-)
-from repro.analysis.reporting import (
-    format_table,
-    render_table1,
-    render_records,
-    render_paper_vs_measured,
-)
 
 __all__ = [
     "log2n",
@@ -57,13 +44,4 @@ __all__ = [
     "single_source_round_bound",
     "PotentialTracker",
     "potential_of_knowledge",
-    "ExperimentRecord",
-    "ExperimentRunner",
-    "aggregate_records",
-    "fit_power_law",
-    "scaling_exponent",
-    "format_table",
-    "render_table1",
-    "render_records",
-    "render_paper_vs_measured",
 ]

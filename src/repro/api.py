@@ -44,10 +44,9 @@ to a cold full run.
 **Vectorized groups.**  On the in-process path, consecutive pending cells
 of the same spec form one group; when the scenario is vectorizable (the
 adversary is oblivious and the algorithm has a batch program or a native
-bitset fast program) and numpy is installed, the whole group runs through
-the batch backend (:mod:`repro.batch`) in one pass: lockstep lanes where
-the algorithm has a batch program, one lane at a time over one shared
-problem otherwise.  Records are field-identical either way —
+bitset fast program), the whole group runs through the batch backend
+(:mod:`repro.batch`) in one pass: lockstep lanes where the algorithm has a
+batch program, one lane at a time over one shared problem otherwise.  Records are field-identical either way —
 an explicit ``.backend("bitset")`` opts out.
 """
 
@@ -83,7 +82,7 @@ from repro.obs.logs import get_logger
 from repro.results.aggregate import (
     DEFAULT_GROUP_BY,
     DEFAULT_METRICS,
-    aggregate as _aggregate_records,
+    aggregate as _aggregate_rows,
     aggregate_columns,
 )
 from repro.results.compare import compare_to_bounds
@@ -138,8 +137,6 @@ CellMeta = Dict[str, Any]
 Observer = Callable[[ProgressEvent], None]
 
 logger = get_logger(__name__)
-
-_numpy_fallback_warned = False
 
 
 class ExperimentError(ReproError):
@@ -604,21 +601,9 @@ def vectorizable_group(spec: ScenarioSpec, count: int) -> bool:
     Multi-repetition groups of vectorizable scenarios are dispatched to the
     vectorized batch backend automatically — it produces field-identical
     records, only faster.  An explicit ``.backend("bitset")`` (or any other
-    non-default backend) opts out; a missing numpy keeps the serial path
-    (with a once-per-process warning, since it silently costs wall-clock).
+    non-default backend) opts out.
     """
     if count < 2 or spec.backend not in ("reference", "batch"):
-        return False
-    from repro.core.state import numpy_available
-
-    if not numpy_available():
-        global _numpy_fallback_warned
-        if not _numpy_fallback_warned:
-            _numpy_fallback_warned = True
-            logger.warning(
-                "numpy is not installed; multi-repetition sweeps run serially "
-                "(install the repro[fast] extra to vectorize them)"
-            )
         return False
     # Imported lazily: repro.backends imports the scenario layer.  The
     # package import must come first — in a fresh worker process, importing
@@ -1043,7 +1028,7 @@ class Aggregate:
     def rows(self) -> List[Dict[str, Any]]:
         """One summary row per group (mean/median/stddev/CI per metric)."""
         if self._rows is None:
-            self._rows = _aggregate_records(self._records, self._group_by, self._metrics)
+            self._rows = _aggregate_rows(self._records, self._group_by, self._metrics)
         return list(self._rows)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:

@@ -17,8 +17,7 @@ and program family they plug in.  Importing this package registers:
 * ``batch`` — runs all repetitions of a scenario in one call
   (:mod:`repro.batch`): lockstep numpy lanes for the algorithms with a
   batch program under oblivious adversaries, otherwise the bitset kernel
-  per repetition over one shared problem.  Needs the ``repro[fast]``
-  optional extra.
+  per repetition over one shared problem.
 
 Select a backend per scenario (``ScenarioSpec(backend="bitset", ...)``,
 ``python -m repro run --backend bitset``) and check equivalence with the

@@ -14,9 +14,7 @@ scenario one repetition at a time on the bitset kernel:
 The ``batch`` *backend* lives in :mod:`repro.batch.backend` and is imported
 by :mod:`repro.backends` for registration; it is deliberately not imported
 here so algorithm modules can import this package without cycling through
-the backend registry.  None of these modules import numpy at module level —
-numpy is an optional dependency, pulled in lazily when a batch kernel is
-constructed (install it with ``pip install "repro[fast]"``).
+the backend registry.
 """
 
 from repro.batch.engine import BatchKernel

@@ -19,10 +19,8 @@ to running each repetition serially.  It has exactly two paths:
   through the bitset :class:`~repro.core.rounds.RoundKernel` with native
   fast programs.
 
-:meth:`supports` therefore accepts every scenario.  The backend needs numpy
-(the ``repro[fast]`` extra) even for the per-lane path: asking for ``batch``
-without numpy is a configuration error with an install hint, not a silent
-downgrade.
+:meth:`~repro.backends.base.EngineBackend.supports` therefore accepts
+every scenario.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.backends.base import EngineBackend, register_backend
 from repro.backends.bitset import BitsetBackend, has_native_fast_path
 from repro.batch.engine import BatchKernel
 from repro.core.result import ExecutionResult
-from repro.core.state import numpy_available, require_numpy
 from repro.utils.rng import SeedLike
 
 #: Runs one repetition on the bitset kernel with native fast programs.
@@ -99,24 +96,13 @@ def can_vectorize_spec(spec) -> bool:
         "runs all repetitions of a scenario in one call: lockstep numpy "
         "lanes for flooding, one-shot-flooding and naive-unicast under "
         "oblivious adversaries, the bitset kernel per repetition over one "
-        "shared problem otherwise (needs the repro[fast] extra)"
+        "shared problem otherwise"
     ),
 )
 class BatchBackend(EngineBackend):
     """Multi-repetition execution: lockstep lanes or per-lane bitset runs."""
 
     name = "batch"
-
-    def supports(self, problem, algorithm, adversary) -> Optional[str]:
-        # Everything runs: scenarios without lockstep lanes take the
-        # per-lane bitset path.  Only the missing optional dependency
-        # refuses.
-        if not numpy_available():
-            return (
-                "numpy is not installed; install the repro[fast] extra "
-                "(pip install \"repro[fast]\")"
-            )
-        return None
 
     def execution_mode(self, algorithm, adversary) -> str:
         """How a scenario would execute: ``"vectorized"`` (lockstep lanes) or
@@ -136,7 +122,6 @@ class BatchBackend(EngineBackend):
         tracer=None,
     ) -> ExecutionResult:
         """Run one execution: a single-lane batch kernel, or the bitset kernel."""
-        require_numpy("the batch backend")
         if can_vectorize(algorithm, adversary):
             kernel = BatchKernel(
                 problem,
@@ -182,7 +167,6 @@ class BatchBackend(EngineBackend):
         construction.  Each lane gets its own seed and adversary instance;
         the per-lane path also gives each lane a fresh algorithm.
         """
-        require_numpy("the batch backend")
         # Imported lazily: the scenario layer imports repro.backends.
         from repro.scenarios.registry import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY
         from repro.scenarios.runner import materialize, repetition_seed

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.batch.programs import BatchRoundProgram, LaneAccounting
 from repro.core.events import EventLog
 from repro.core.problem import DisseminationProblem
@@ -115,7 +117,6 @@ class BatchKernel:
             self.adversary_rngs.append(spawn_rng(base_rng, "adversary"))
 
         self.state = BatchKnowledgeState(problem, lanes=self.lanes)
-        self.np = self.state.np
         self.nodes = self.state.nodes
         self.n = self.state.n
         self.index_of = self.state.index_of
@@ -124,7 +125,7 @@ class BatchKernel:
         self.token_index = self.state.token_index
 
         self.accounting = LaneAccounting(
-            self.np, algorithm.communication_model, self.nodes, self.lanes
+            algorithm.communication_model, self.nodes, self.lanes
         )
         self.event_logs: List[EventLog] = [EventLog() for _ in range(self.lanes)]
         self.stages: List[AdversaryStage] = [
@@ -141,7 +142,7 @@ class BatchKernel:
         #: ``(lanes,)`` bool mask of lanes still playing rounds.  Programs
         #: must not send, count or learn for inactive lanes.
         self.active_lanes = ~self.state.completed_lanes()
-        self.rounds_played = self.np.zeros(self.lanes, dtype=self.np.int64)
+        self.rounds_played = np.zeros(self.lanes, dtype=np.int64)
 
         # When every lane's adversary promises a steady topology, the
         # per-lane stage loop can stop after the latest steady round; the
@@ -158,7 +159,7 @@ class BatchKernel:
         #: Dense ``(lanes, n, n)`` float32 adjacency, maintained only when
         #: the program declares ``needs_dense_adjacency``.
         self.dense_adj = (
-            self.np.zeros((self.lanes, self.n, self.n), dtype=self.np.float32)
+            np.zeros((self.lanes, self.n, self.n), dtype=np.float32)
             if getattr(self.program, "needs_dense_adjacency", False)
             else None
         )
@@ -173,7 +174,6 @@ class BatchKernel:
             # Every lane's topology (and dense adjacency) is frozen; traces
             # are caught up in bulk after the round loop.
             return
-        np = self.np
         dense = self.dense_adj
         n = self.n
         stages = self.stages
@@ -195,7 +195,6 @@ class BatchKernel:
 
     def run(self) -> List[ExecutionResult]:
         """Run every lane to completion (or quiescence, or the round limit)."""
-        np = self.np
         program = self.program
         state = self.state
         accounting = self.accounting

@@ -24,14 +24,13 @@ message statistics by kind/round/node, same token-learning event order.
 reconstructs one lane's :class:`~repro.core.metrics.MessageStatistics` with
 the exact filtering semantics of the serial stage (kinds with zero messages
 omitted, per-node entries only for nodes that sent).
-
-This module is importable without numpy: array allocation happens at
-runtime through the module handle the kernel passes in.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core.comm import CommunicationModel
 from repro.core.metrics import MessageStatistics
@@ -48,28 +47,25 @@ class LaneAccounting:
     use.
     """
 
-    def __init__(self, numpy_module, model: CommunicationModel, nodes: Tuple[NodeId, ...], lanes: int) -> None:
-        self.np = numpy_module
+    def __init__(self, model: CommunicationModel, nodes: Tuple[NodeId, ...], lanes: int) -> None:
         self.model = model
         self.nodes = nodes
         self.lanes = lanes
         self.kind_totals: Dict[str, object] = {}
-        self.per_node = numpy_module.zeros((lanes, len(nodes)), dtype=numpy_module.int64)
+        self.per_node = np.zeros((lanes, len(nodes)), dtype=np.int64)
         self.per_round_columns: List[object] = []
         self._current_column = None
 
     def begin_round(self) -> None:
         if self._current_column is not None:
             raise ConfigurationError("begin_round called while a round is already open")
-        self._current_column = self.np.zeros(self.lanes, dtype=self.np.int64)
+        self._current_column = np.zeros(self.lanes, dtype=np.int64)
 
     def count_lanes(self, kind_value: str, amounts) -> None:
         """Count ``amounts[lane]`` messages of one kind for every lane at once."""
         totals = self.kind_totals.get(kind_value)
         if totals is None:
-            totals = self.kind_totals[kind_value] = self.np.zeros(
-                self.lanes, dtype=self.np.int64
-            )
+            totals = self.kind_totals[kind_value] = np.zeros(self.lanes, dtype=np.int64)
         totals += amounts
         self._current_column += amounts
 
@@ -130,7 +126,6 @@ class BatchRoundProgram:
         self.nodes = kernel.nodes
         self.n = kernel.n
         self.k = kernel.k
-        self.np = kernel.np
 
     def setup(self) -> None:
         """One-time initialization before the first round."""

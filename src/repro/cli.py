@@ -62,7 +62,7 @@ import ast
 import json
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.bounds import (
     flooding_amortized_upper_bound,
@@ -72,9 +72,9 @@ from repro.analysis.bounds import (
     single_source_competitive_bound,
     static_spanning_tree_amortized,
 )
-from repro.analysis.reporting import format_table, render_table1
 from repro.api import Experiment, RunSet, load_runs
 from repro.backends import BACKEND_REGISTRY, DEFAULT_BACKEND
+from repro.results.report import format_table, render_table1
 from repro.scenarios import (
     ADVERSARY_REGISTRY,
     ALGORITHM_REGISTRY,
@@ -87,15 +87,6 @@ from repro.scenarios import (
 from repro.scenarios.registry import Registry
 from repro.scenarios.spec import _TOP_LEVEL_SWEEP_FIELDS
 from repro.utils.validation import ConfigurationError, ReproError
-
-#: Deprecated aliases kept for backwards compatibility: the registries are
-#: the source of truth; these views expose ``name -> zero-argument factory``.
-ALGORITHMS: Dict[str, Callable[[], object]] = {
-    name: ALGORITHM_REGISTRY.get(name).create for name in ALGORITHM_REGISTRY.names()
-}
-ADVERSARIES: Dict[str, Callable[[], object]] = {
-    name: ADVERSARY_REGISTRY.get(name).create for name in ADVERSARY_REGISTRY.names()
-}
 
 _DEFAULT_TOKENS = 40
 
@@ -332,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweeps",
         action="store_true",
         help="run the multi-repetition sweep grid instead: all repetitions of "
-        "each scenario serially (bitset) vs the vectorized batch backend "
-        "(needs the repro[fast] extra)",
+        "each scenario serially (bitset) vs the vectorized batch backend",
     )
     bench.add_argument(
         "--min-batch-speedup",

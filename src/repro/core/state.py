@@ -36,37 +36,14 @@ from __future__ import annotations
 import abc
 from typing import Dict, FrozenSet, List, Set, Tuple
 
+import numpy as np
+
 from repro.core.events import SEG_COLUMN, SEG_TRIPLES, column_segment
 
 from repro.core.problem import DisseminationProblem
 from repro.core.tokens import Token
 from repro.utils.ids import NodeId
 from repro.utils.validation import ConfigurationError, require_positive_int
-
-
-def require_numpy(feature: str = "the batch backend"):
-    """Import and return numpy, or explain how to install it.
-
-    numpy is an optional dependency (the ``repro[fast]`` extra): everything
-    except the vectorized batch subsystem runs without it.
-    """
-    try:
-        import numpy
-    except ImportError as error:
-        raise ConfigurationError(
-            f"{feature} needs numpy, which is an optional dependency; "
-            "install it with: pip install \"repro[fast]\" (or: pip install numpy)"
-        ) from error
-    return numpy
-
-
-def numpy_available() -> bool:
-    """True iff numpy can be imported (the ``repro[fast]`` extra is installed)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def bit_indices(mask: int) -> List[int]:
@@ -350,7 +327,6 @@ class BatchKnowledgeState(KnowledgeState):
     """
 
     __slots__ = (
-        "np",
         "lanes",
         "know",
         "known_counts",
@@ -362,8 +338,6 @@ class BatchKnowledgeState(KnowledgeState):
     def __init__(self, problem: DisseminationProblem, lanes: int = 1) -> None:
         super().__init__(problem)
         require_positive_int(lanes, "lanes")
-        np = require_numpy("BatchKnowledgeState")
-        self.np = np
         self.lanes = lanes
         know = np.zeros((lanes, self.n, self.k), dtype=np.bool_)
         token_index = self.token_index
@@ -410,12 +384,12 @@ class BatchKnowledgeState(KnowledgeState):
     def known_tokens(self, node: NodeId) -> FrozenSet[Token]:
         row = self.know[self._lane, self.index_of[node]]
         tokens = self.tokens
-        return frozenset(tokens[int(index)] for index in self.np.nonzero(row)[0])
+        return frozenset(tokens[int(index)] for index in np.nonzero(row)[0])
 
     def missing_tokens(self, node: NodeId) -> List[Token]:
         row = self.know[self._lane, self.index_of[node]]
         tokens = self.tokens
-        return [tokens[int(index)] for index in self.np.nonzero(~row)[0]]
+        return [tokens[int(index)] for index in np.nonzero(~row)[0]]
 
     def is_node_complete(self, node: NodeId) -> bool:
         return int(self.known_counts[self._lane, self.index_of[node]]) == self.k
@@ -441,7 +415,7 @@ class BatchKnowledgeState(KnowledgeState):
     def know_mask(self, node_index: int) -> int:
         row = self.know[self._lane, node_index]
         mask = 0
-        for index in self.np.nonzero(row)[0]:
+        for index in np.nonzero(row)[0]:
             mask |= 1 << int(index)
         return mask
 
@@ -454,7 +428,7 @@ class BatchKnowledgeState(KnowledgeState):
     def holders_mask(self, token_bit_index: int) -> int:
         column = self.know[self._lane, :, token_bit_index]
         mask = 0
-        for index in self.np.nonzero(column)[0]:
+        for index in np.nonzero(column)[0]:
             mask |= 1 << int(index)
         return mask
 
@@ -490,7 +464,6 @@ class BatchKnowledgeState(KnowledgeState):
         node indices ascending inside each lane — exactly the order a serial
         broadcast delivery would have produced.
         """
-        np = self.np
         self.know[:, :, token_bit_index] |= learners
         self.known_counts += learners
         lane_ids, node_ids = np.nonzero(learners)

@@ -5,8 +5,8 @@ Library modules obtain loggers via :func:`get_logger` (children of the
 embedding application configures handlers.  The CLI calls
 :func:`configure_logging` from its global ``-v/-q/--log-level`` flags,
 which attaches one stderr handler to the ``"repro"`` logger so library
-warnings — e.g. the batch backend falling back to serial when numpy is
-missing — surface uniformly instead of being silent.
+warnings — e.g. an experiment falling back to shard scans when the
+warehouse index cannot sync — surface uniformly instead of being silent.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The results warehouse: run records → store → aggregates → paper verdicts.
 
-This package is the back half of the spec-in/records-out architecture.  The
-:class:`~repro.scenarios.runner.ScenarioRunner` emits flat JSONL records;
-here they become first-class:
+This package is the back half of the spec-in/records-out architecture.
+:class:`repro.api.Experiment` (and :func:`repro.scenarios.run_spec`) emit
+flat JSON records; here they become first-class:
 
 * **records** (:mod:`repro.results.records`) — the typed, schema-versioned
   :class:`RunRecord` with tolerant streaming JSONL reads;
@@ -11,11 +11,13 @@ here they become first-class:
   worker outputs and filtered queries;
 * **aggregate** (:mod:`repro.results.aggregate`) — deterministic group-by
   summaries (mean/median/stddev/min/max + bootstrap confidence intervals);
-* **compare** (:mod:`repro.results.compare`) — log-log slope fits of the
-  measured scaling joined against :mod:`repro.analysis.bounds`, with
-  within-bound verdicts and an extension hook for custom bounds;
-* **report** (:mod:`repro.results.report`) — markdown / CSV / JSON tables
-  and the full paper-vs-measured report, including Table 1.
+* **compare** (:mod:`repro.results.compare`) — power-law fits
+  (:func:`fit_power_law`) of the measured scaling joined against
+  :mod:`repro.analysis.bounds`, with within-bound verdicts and an extension
+  hook for custom bounds;
+* **report** (:mod:`repro.results.report`) — monospace text
+  (:func:`format_table`), markdown, CSV and JSON tables, the regenerated
+  Table 1 and the full paper-vs-measured report.
 
 Quickstart::
 
@@ -54,17 +56,20 @@ from repro.results.compare import (
     bound_for_algorithm,
     bound_ratio_rows,
     compare_to_bounds,
+    fit_power_law,
     fit_scaling_exponent,
     measured_series,
     register_bound,
     registered_bounds,
 )
 from repro.results.report import (
+    format_table,
     render_aggregates,
     render_comparison,
     render_markdown_table,
     render_report,
     render_table,
+    render_table1,
     render_table1_vs_measured,
     rows_to_table,
 )
@@ -88,15 +93,18 @@ __all__ = [
     "bound_for_algorithm",
     "bound_ratio_rows",
     "compare_to_bounds",
+    "fit_power_law",
     "fit_scaling_exponent",
     "measured_series",
     "register_bound",
     "registered_bounds",
+    "format_table",
     "render_aggregates",
     "render_comparison",
     "render_markdown_table",
     "render_report",
     "render_table",
+    "render_table1",
     "render_table1_vs_measured",
     "rows_to_table",
 ]

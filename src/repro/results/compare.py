@@ -9,9 +9,8 @@ comparison has two parts:
   ratio-to-bound column is computed (constants in the bounds are 1, so the
   ratio is meaningful up to a constant factor);
 * **shape**: the measured means are fitted in log-log space against the
-  sweep axis (:func:`repro.analysis.experiments.fit_power_law`) and the
-  resulting scaling exponent is compared against the exponent of the bound
-  evaluated at the same points.  The verdict is ``within bound`` when the
+  sweep axis (:func:`fit_power_law`) and the resulting scaling exponent is
+  compared against the exponent of the bound evaluated at the same points.  The verdict is ``within bound`` when the
   measured exponent does not exceed the bound's exponent by more than
   ``slack`` — asymptotic claims survive constant factors, so the exponent,
   not the ratio, decides.
@@ -25,6 +24,8 @@ from dataclasses import dataclass
 from statistics import mean
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.analysis.bounds import (
     flooding_amortized_upper_bound,
     multi_source_amortized_bound,
@@ -33,7 +34,6 @@ from repro.analysis.bounds import (
     single_source_competitive_bound,
     static_spanning_tree_amortized,
 )
-from repro.analysis.experiments import fit_power_law
 from repro.results.records import RunRecord, coerce_record
 from repro.utils.validation import ConfigurationError
 
@@ -158,6 +158,20 @@ def measured_series(
             }
         )
     return series
+
+
+def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
+    """Fit ``y ≈ c · x^α`` by least squares in log-log space; returns ``(α, c)``."""
+    if len(xs) != len(ys):
+        raise ConfigurationError("xs and ys must have the same length")
+    if len(xs) < 2:
+        raise ConfigurationError("at least two points are needed for a power-law fit")
+    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
+        raise ConfigurationError("power-law fitting requires strictly positive data")
+    log_x = np.log(np.asarray(xs, dtype=float))
+    log_y = np.log(np.asarray(ys, dtype=float))
+    exponent, intercept = np.polyfit(log_x, log_y, 1)
+    return float(exponent), float(np.exp(intercept))
 
 
 def fit_scaling_exponent(

@@ -1,11 +1,11 @@
 """Rendering aggregates and bound comparisons as text, markdown, CSV or JSON.
 
-Built on :mod:`repro.analysis.reporting`: the monospace ``format_table`` is
-reused for terminal output, and the markdown renderer applies the same value
-formatting so numbers look identical across formats.  :func:`render_report`
-assembles the full paper-bound report — record inventory, grouped aggregates
-with confidence intervals, per-algorithm verdicts and a regenerated
-paper-vs-measured Table 1.
+:func:`format_table` is the monospace table behind terminal output (the CLI,
+the benchmark harnesses and :func:`render_table1`), and the markdown
+renderer applies the same value formatting so numbers look identical across
+formats.  :func:`render_report` assembles the full paper-bound report —
+record inventory, grouped aggregates with confidence intervals,
+per-algorithm verdicts and a regenerated paper-vs-measured Table 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from statistics import mean
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.bounds import table1_rows
-from repro.analysis.reporting import format_table
 from repro.results.aggregate import (
     DEFAULT_GROUP_BY,
     DEFAULT_METRICS,
@@ -41,9 +40,7 @@ COMPARISON_COLUMNS = (
 RATIO_COLUMNS = ("algorithm", "n", "k", "s", "runs", "measured", "bound", "ratio")
 
 
-def _format_cell(value: Any) -> str:
-    if value is None:
-        return "—"
+def _format_value(value: object) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
@@ -52,7 +49,50 @@ def _format_cell(value: Any) -> str:
         if abs(value) >= 1e6 or abs(value) < 1e-2:
             return f"{value:.3e}"
         return f"{value:,.2f}"
+    if isinstance(value, int):
+        return f"{value:,}"
     return str(value)
+
+
+def _format_cell(value: Any) -> str:
+    """Like :func:`_format_value`, but ints stay ungrouped and ``None`` is a dash."""
+    if value is None:
+        return "—"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return _format_value(value)
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Render a list of rows as an aligned monospace table."""
+    if not headers:
+        raise ConfigurationError("a table needs at least one column")
+    rendered_rows = [[_format_value(value) for value in row] for row in rows]
+    widths = [len(header) for header in headers]
+    for row in rendered_rows:
+        if len(row) != len(headers):
+            raise ConfigurationError("every row must have one cell per header")
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = []
+    header_line = " | ".join(header.ljust(widths[i]) for i, header in enumerate(headers))
+    separator = "-+-".join("-" * width for width in widths)
+    lines.append(header_line)
+    lines.append(separator)
+    for row in rendered_rows:
+        lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+def render_table1(num_nodes: int) -> str:
+    """Regenerate Table 1 (amortized message complexity per token regime) for one n."""
+    rows = table1_rows(num_nodes)
+    return format_table(
+        headers=["tokens (k)", "paper bound", "evaluated amortized bound"],
+        rows=[
+            [row.label, f"O({row.paper_expression})", row.amortized_bound] for row in rows
+        ],
+    )
 
 
 def render_markdown_table(

@@ -4,8 +4,8 @@ A :class:`ScenarioSpec` names a complete experiment — problem, algorithm and
 adversary, each by registry name plus keyword parameters, together with the
 base seed, repetition count and round limit — as plain JSON-serializable
 data.  Because a spec carries no live objects it can be written to disk,
-shipped to a worker process and rebuilt there, which is what makes the
-parallel :class:`~repro.scenarios.runner.ScenarioRunner` possible.
+shipped to a worker process and rebuilt there, which is what lets
+:class:`repro.api.Experiment` fan a batch out over worker processes.
 
 :func:`sweep` expands a base spec and a parameter grid into the cross
 product of concrete specs, e.g.::

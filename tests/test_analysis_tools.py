@@ -1,30 +1,16 @@
-"""Tests for the potential tracker, the experiment runner and the reporting helpers."""
+"""Tests for the potential tracker, power-law fitting and the table helpers."""
 
 import pytest
 
-from repro.adversaries import ControlledChurnAdversary, ScheduleAdversary, StaticAdversary
+from repro.adversaries import StaticAdversary
 from repro.algorithms.naive_unicast import NaiveUnicastAlgorithm
-from repro.algorithms.single_source import SingleSourceUnicastAlgorithm
-from repro.analysis.experiments import (
-    ExperimentRecord,
-    ExperimentRunner,
-    aggregate_records,
-    fit_power_law,
-    scaling_exponent,
-)
 from repro.analysis.potential import PotentialTracker, potential_of_knowledge
-from repro.analysis.reporting import (
-    format_table,
-    render_aggregates,
-    render_paper_vs_measured,
-    render_records,
-    render_table1,
-)
 from repro.core.engine import run_execution
 from repro.core.events import EventLog
 from repro.core.problem import single_source_problem
 from repro.core.tokens import Token
-from repro.dynamics.generators import static_path_schedule
+from repro.results.compare import fit_power_law, fit_scaling_exponent
+from repro.results.report import format_table, render_table1
 from repro.utils.validation import ConfigurationError
 from tests.conftest import path_edges
 
@@ -76,72 +62,6 @@ class TestPotentialFunction:
         assert trajectory.final == tracker.maximum_potential()
 
 
-class TestExperimentRunner:
-    def _factories(self, n=6, k=3):
-        return (
-            lambda: single_source_problem(n, k),
-            lambda: SingleSourceUnicastAlgorithm(),
-            lambda: ControlledChurnAdversary(changes_per_round=2, edge_probability=0.4),
-        )
-
-    def test_run_produces_one_record_per_repetition(self):
-        runner = ExperimentRunner(base_seed=1)
-        records = runner.run(*self._factories(), repetitions=3, params={"n": 6, "k": 3})
-        assert len(records) == 3
-        assert all(isinstance(record, ExperimentRecord) for record in records)
-        assert all(record.completed for record in records)
-        assert {record.params["repetition"] for record in records} == {0, 1, 2}
-
-    def test_records_carry_sweep_parameters(self):
-        runner = ExperimentRunner(base_seed=2)
-        records = runner.run(*self._factories(), repetitions=1, params={"n": 6, "label": "x"})
-        assert records[0].params["n"] == 6
-        assert records[0].params["label"] == "x"
-
-    def test_repetitions_must_be_positive(self):
-        runner = ExperimentRunner()
-        with pytest.raises(ConfigurationError):
-            runner.run(*self._factories(), repetitions=0)
-
-    def test_runs_are_reproducible_for_same_base_seed(self):
-        records_a = ExperimentRunner(base_seed=5).run(*self._factories(), repetitions=2)
-        records_b = ExperimentRunner(base_seed=5).run(*self._factories(), repetitions=2)
-        assert [r.total_messages for r in records_a] == [r.total_messages for r in records_b]
-
-    def test_sweep_runs_every_configuration(self):
-        runner = ExperimentRunner(base_seed=3)
-
-        def build(config):
-            n = config["n"]
-            return (
-                lambda: single_source_problem(n, 3),
-                lambda: SingleSourceUnicastAlgorithm(),
-                lambda: StaticAdversary(n, path_edges(n)),
-            )
-
-        records = runner.sweep([{"n": 5}, {"n": 7}], build, repetitions=2)
-        assert len(records) == 4
-        assert {record.params["n"] for record in records} == {5, 7}
-
-    def test_aggregate_records_groups_and_averages(self):
-        runner = ExperimentRunner(base_seed=4)
-
-        def build(config):
-            n = config["n"]
-            return (
-                lambda: single_source_problem(n, 3),
-                lambda: SingleSourceUnicastAlgorithm(),
-                lambda: StaticAdversary(n, path_edges(n)),
-            )
-
-        records = runner.sweep([{"n": 5}, {"n": 7}], build, repetitions=2)
-        rows = aggregate_records(records, group_by=["n"])
-        assert len(rows) == 2
-        assert rows[0]["runs"] == 2
-        assert all(row["completed"] for row in rows)
-        assert rows[0]["total_messages"] > 0
-
-
 class TestPowerLawFitting:
     def test_recovers_exact_exponent(self):
         xs = [10, 20, 40, 80]
@@ -152,8 +72,8 @@ class TestPowerLawFitting:
 
     def test_scaling_exponent_shortcut(self):
         xs = [8, 16, 32, 64]
-        ys = [x**1.5 for x in xs]
-        assert scaling_exponent(xs, ys) == pytest.approx(1.5, abs=1e-9)
+        points = [{"n": x, "measured": x**1.5} for x in xs]
+        assert fit_scaling_exponent(points) == pytest.approx(1.5, abs=1e-9)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ConfigurationError):
@@ -189,27 +109,3 @@ class TestReporting:
         assert "k = n" in rendered
         assert "k = n^2" in rendered
         assert "O(n^2)" in rendered
-
-    def test_render_records(self):
-        runner = ExperimentRunner(base_seed=6)
-        records = runner.run(
-            lambda: single_source_problem(5, 2),
-            lambda: SingleSourceUnicastAlgorithm(),
-            lambda: StaticAdversary(5, path_edges(5)),
-            repetitions=1,
-            params={"n": 5},
-        )
-        rendered = render_records(records, ["n", "total_messages", "rounds"])
-        assert "total_messages" in rendered
-        assert "5" in rendered
-
-    def test_render_aggregates(self):
-        rows = [{"n": 5, "total_messages": 10.0}, {"n": 7, "total_messages": 20.0}]
-        rendered = render_aggregates(rows, ["n", "total_messages"])
-        assert "20.00" in rendered or "20" in rendered
-
-    def test_render_paper_vs_measured(self):
-        rendered = render_paper_vs_measured(
-            [{"experiment": "E1", "paper": "O(n^2)", "measured": "n^1.9", "verdict": "match"}]
-        )
-        assert "E1" in rendered and "match" in rendered

@@ -14,7 +14,7 @@ from repro.api import (
     load_runs,
 )
 from repro.results import RunStore
-from repro.scenarios import ScenarioRunner, ScenarioSpec, record_to_json_line, sweep
+from repro.scenarios import ScenarioSpec, record_to_json_line, run_spec, sweep
 from repro.utils.validation import ConfigurationError, ReproError
 
 
@@ -203,7 +203,7 @@ class TestPlan:
 
 
 class TestRunSet:
-    def test_records_match_the_scenario_runner_byte_for_byte(self):
+    def test_records_match_serial_run_spec_byte_for_byte(self):
         base = ScenarioSpec(
             problem="single-source",
             problem_params={"num_nodes": 6, "num_tokens": 4},
@@ -217,10 +217,12 @@ class TestRunSet:
             spec.with_params(adversary={"num_nodes": spec.problem_params["num_nodes"]})
             for spec in specs
         ]
-        legacy = ScenarioRunner().run(specs)
+        # run_spec is the serial reference; the two-repetition groups here
+        # are routed to the batch backend by Experiment.
+        serial = [record for spec in specs for record in run_spec(spec)]
         fluent = Experiment.from_specs(specs).run().records()
         assert [record_to_json_line(r) for r in fluent] == [
-            record_to_json_line(r) for r in legacy
+            record_to_json_line(r) for r in serial
         ]
 
     def test_parallel_run_is_byte_identical_to_serial(self):
@@ -414,33 +416,3 @@ class TestPipelineHandles:
     def test_load_runs_rejects_missing_sources(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no such"):
             load_runs(str(tmp_path / "nope.jsonl"))
-
-
-class TestLegacyRunnerShim:
-    def test_experiment_runner_warns_and_round_trips_through_the_new_api(self):
-        from repro import ExperimentRunner, single_source_problem
-        from repro.adversaries import ControlledChurnAdversary
-        from repro.algorithms import FloodingAlgorithm
-
-        with pytest.warns(DeprecationWarning, match="ExperimentRunner is deprecated"):
-            runner = ExperimentRunner(base_seed=1)
-        legacy = runner.run(
-            lambda: single_source_problem(6, 4),
-            FloodingAlgorithm,
-            lambda: ControlledChurnAdversary(changes_per_round=0, edge_probability=0.25),
-            repetitions=2,
-        )
-        fluent = (
-            Experiment.grid(
-                algorithm="flooding", adversary="static", num_nodes=6, num_tokens=4
-            )
-            .seeds(2)
-            .run()
-            .records()
-        )
-        assert len(fluent) == len(legacy) == 2
-        assert all(record.completed for record in legacy)
-        assert all(record["completed"] for record in fluent)
-        # Same problem dimensions surface through both record shapes.
-        assert {record["n"] for record in fluent} == {6}
-        assert all(record.params["n"] == 6 for record in legacy)

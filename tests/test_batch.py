@@ -10,9 +10,8 @@ harness, or the fluent :class:`~repro.api.Experiment` pipeline's automatic
 dispatch.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.api import Experiment, vectorizable_group
 from repro.backends import BatchBackend, get_backend
@@ -32,7 +31,6 @@ from repro.dynamics.graph_sequence import EdgeIdTrace
 from repro.scenarios import ScenarioSpec, run_spec
 from repro.scenarios.registry import ADVERSARY_REGISTRY
 from repro.scenarios.runner import record_from_result, repetition_seed, run_scenario
-from repro.utils.validation import ConfigurationError
 
 
 def flooding_spec(**overrides):
@@ -588,22 +586,3 @@ class TestBatchSpeedupGate:
         passed, message = batch_speedup_gate(entries, 3.0)
         assert passed
         assert "4.1" in message
-
-
-class TestNumpyGate:
-    def test_supports_refuses_without_numpy(self, monkeypatch):
-        import repro.batch.backend as backend_module
-
-        monkeypatch.setattr(backend_module, "numpy_available", lambda: False)
-        reason = BatchBackend().supports(None, None, None)
-        assert reason is not None and "repro[fast]" in reason
-
-    def test_run_batch_raises_configuration_error_without_numpy(self, monkeypatch):
-        import repro.batch.backend as backend_module
-
-        def missing(feature="the batch backend"):
-            raise ConfigurationError(f"{feature} needs numpy")
-
-        monkeypatch.setattr(backend_module, "require_numpy", missing)
-        with pytest.raises(ConfigurationError, match="numpy"):
-            BatchBackend().run_batch(flooding_spec())

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import ADVERSARIES, ALGORITHMS, build_parser, main
+from repro.cli import build_parser, main
 from repro.scenarios import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY, ScenarioSpec
 
 
@@ -27,14 +27,13 @@ class TestParser:
             build_parser().parse_args(["run", "--algorithm", "does-not-exist"])
 
     def test_registries_are_consistent_with_choices(self):
-        assert "single-source" in ALGORITHMS
-        assert "lower-bound" in ADVERSARIES
-        for factory in list(ALGORITHMS.values()) + list(ADVERSARIES.values()):
-            assert callable(factory)
-
-    def test_legacy_dicts_mirror_the_registries(self):
-        assert sorted(ALGORITHMS) == ALGORITHM_REGISTRY.names()
-        assert sorted(ADVERSARIES) == ADVERSARY_REGISTRY.names()
+        assert "single-source" in ALGORITHM_REGISTRY.names()
+        assert "lower-bound" in ADVERSARY_REGISTRY.names()
+        parser = build_parser()
+        for name in ALGORITHM_REGISTRY.names():
+            assert parser.parse_args(["run", "--algorithm", name]).algorithm == name
+        for name in ADVERSARY_REGISTRY.names():
+            assert parser.parse_args(["run", "--adversary", name]).adversary == name
 
 
 class TestVersionFlag:

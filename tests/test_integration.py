@@ -15,7 +15,7 @@ import pytest
 
 from repro import (
     ControlledChurnAdversary,
-    ExperimentRunner,
+    Experiment,
     FloodingAlgorithm,
     LowerBoundAdversary,
     MultiSourceUnicastAlgorithm,
@@ -29,7 +29,6 @@ from repro import (
     SpanningTreeAlgorithm,
     Simulator,
     StaticAdversary,
-    aggregate_records,
     fit_power_law,
     n_gossip_problem,
     random_assignment_problem,
@@ -186,21 +185,26 @@ class TestShapeOfTheBounds:
 
 class TestExperimentPipeline:
     def test_sweep_aggregation_round_trip(self):
-        runner = ExperimentRunner(base_seed=11)
-
-        def build(config):
-            n = config["n"]
-            return (
-                lambda: single_source_problem(n, n),
-                lambda: SingleSourceUnicastAlgorithm(),
-                lambda: ControlledChurnAdversary(changes_per_round=2, edge_probability=0.35),
+        rows = (
+            Experiment.grid(
+                {
+                    "adversary.changes_per_round": 2,
+                    "adversary.edge_probability": 0.35,
+                },
+                algorithm="single-source",
+                adversary="churn",
+                seed=11,
+                num_nodes=[8, 12],
+                num_tokens=8,
             )
-
-        records = runner.sweep([{"n": 8}, {"n": 12}], build, repetitions=2)
-        rows = aggregate_records(records, group_by=["n"])
+            .seeds(2)
+            .run()
+            .aggregate(by=["n"])
+            .rows
+        )
         assert [row["n"] for row in rows] == [8, 12]
         assert all(row["completed"] for row in rows)
-        assert rows[1]["total_messages"] > rows[0]["total_messages"]
+        assert rows[1]["total_messages_mean"] > rows[0]["total_messages_mean"]
 
     def test_simulator_is_reusable_across_configurations(self):
         problem = uniform_multi_source_problem(10, 3, 9, seed=8)

@@ -179,7 +179,6 @@ class TestTracedExecutionIdentity:
             )
 
     def test_batch_lanes_share_group_stage_seconds(self):
-        numpy = pytest.importorskip("numpy")  # noqa: F841
         from repro.batch.backend import BatchBackend
 
         spec = small_spec(repetitions=3)

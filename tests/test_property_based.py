@@ -5,7 +5,6 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import fit_power_law
 from repro.core.metrics import MessageAccountant
 from repro.core.comm import CommunicationModel
 from repro.core.messages import TokenMessage
@@ -19,6 +18,7 @@ from repro.dynamics.connectivity import (
 )
 from repro.dynamics.graph_sequence import DynamicGraphTrace, GraphSchedule
 from repro.dynamics.stability import is_sigma_edge_stable, minimum_edge_stability, stabilize_schedule
+from repro.results import fit_power_law
 from repro.utils.ids import normalize_edge
 
 # Strategy helpers -------------------------------------------------------------

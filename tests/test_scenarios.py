@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.algorithms.base import TokenForwardingAlgorithm
+from repro.api import Experiment
 from repro.core.problem import DisseminationProblem
 from repro.scenarios import (
     ADVERSARY_REGISTRY,
     ALGORITHM_REGISTRY,
     PROBLEM_REGISTRY,
-    ScenarioRunner,
     ScenarioSpec,
     materialize,
     record_to_json_line,
@@ -269,33 +269,6 @@ class TestRunner:
         assert rebuilt == record
         assert ScenarioSpec.from_dict(rebuilt["spec"]) == small_spec()
 
-    def test_parallel_batch_is_byte_identical_to_serial(self, tmp_path):
-        specs = sweep(
-            small_spec(repetitions=2),
-            {"problem.num_nodes": [8, 10, 12], "seed": [1, 2]},
-        )
-        serial_path = tmp_path / "serial.jsonl"
-        parallel_path = tmp_path / "parallel.jsonl"
-        serial = ScenarioRunner(workers=1).run(specs, jsonl_path=serial_path)
-        parallel = ScenarioRunner(workers=2).run(specs, jsonl_path=parallel_path)
-        assert serial == parallel
-        assert serial_path.read_bytes() == parallel_path.read_bytes()
-        assert len(serial_path.read_text().strip().splitlines()) == len(specs) * 2
-
-    def test_progress_callback_sees_every_spec_in_order(self):
-        specs = sweep(small_spec(), {"seed": [0, 1, 2]})
-        seen = []
-        ScenarioRunner(progress=lambda done, total, spec: seen.append((done, total, spec.seed))).run(specs)
-        assert seen == [(1, 3, 0), (2, 3, 1), (3, 3, 2)]
-
-    def test_invalid_workers_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioRunner(workers=0)
-
-    def test_non_spec_items_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="ScenarioSpec"):
-            ScenarioRunner().run([{"problem": "single-source"}])
-
 
 class TestReviewRegressions:
     def test_missing_required_parameter_is_a_configuration_error(self):
@@ -316,16 +289,21 @@ class TestReviewRegressions:
             assert first[field] == rerun[field]
 
     def test_extension_modules_are_validated(self):
-        with pytest.raises(ConfigurationError, match="extension_modules"):
-            ScenarioRunner(extension_modules=[""])
-        with pytest.raises(ConfigurationError, match="extension_modules"):
-            ScenarioRunner(extension_modules=[object()])
+        experiment = Experiment.from_specs([small_spec()])
+        with pytest.raises(ConfigurationError, match="extensions"):
+            experiment.extensions("")
+        with pytest.raises(ConfigurationError, match="extensions"):
+            experiment.extensions(object())
 
-    def test_parallel_run_imports_extension_modules(self, tmp_path):
+    def test_parallel_run_imports_extension_modules(self):
         # "repro.scenarios" is trivially importable in workers; this pins the
         # payload plumbing without needing a spawn-start interpreter.
         specs = sweep(small_spec(), {"seed": [0, 1]})
-        records = ScenarioRunner(
-            workers=2, extension_modules=["repro.scenarios"]
-        ).run(specs)
-        assert len(records) == 2
+        records = (
+            Experiment.from_specs(specs).extensions("repro.scenarios").run(workers=2).records()
+        )
+        assert records == [record for spec in specs for record in run_spec(spec)]
+        # Only the workers import extensions, so a missing one fails there.
+        missing = Experiment.from_specs(specs).extensions("repro_no_such_extension")
+        with pytest.raises(ModuleNotFoundError, match="repro_no_such_extension"):
+            missing.run(workers=2).records()
