@@ -1,16 +1,23 @@
-"""Tests for the potential tracker, power-law fitting and the table helpers."""
+"""Tests for the potential tracker, experiment sweeps, power-law fitting and the
+table helpers."""
 
 import pytest
 
 from repro.adversaries import StaticAdversary
 from repro.algorithms.naive_unicast import NaiveUnicastAlgorithm
+from repro.api import Experiment
 from repro.analysis.potential import PotentialTracker, potential_of_knowledge
 from repro.core.engine import run_execution
 from repro.core.events import EventLog
 from repro.core.problem import single_source_problem
 from repro.core.tokens import Token
 from repro.results.compare import fit_power_law, fit_scaling_exponent
-from repro.results.report import format_table, render_table1
+from repro.results.report import (
+    format_table,
+    render_aggregates,
+    render_comparison,
+    render_table1,
+)
 from repro.utils.validation import ConfigurationError
 from tests.conftest import path_edges
 
@@ -62,6 +69,59 @@ class TestPotentialFunction:
         assert trajectory.final == tracker.maximum_potential()
 
 
+class TestExperimentSweeps:
+    def _experiment(self, **dimensions):
+        dimensions.setdefault("num_nodes", 6)
+        return Experiment.grid(
+            {"adversary.changes_per_round": 2, "adversary.edge_probability": 0.4},
+            algorithm="single-source",
+            adversary="churn",
+            num_tokens=3,
+            **dimensions,
+        )
+
+    def test_run_produces_one_record_per_repetition(self):
+        records = self._experiment().seeds(3).run().records()
+        assert len(records) == 3
+        assert all(record["completed"] for record in records)
+        assert {record["repetition"] for record in records} == {0, 1, 2}
+
+    def test_records_carry_sweep_parameters(self):
+        records = self._experiment().run().records()
+        assert records[0]["n"] == 6
+        assert records[0]["k"] == 3
+        assert records[0]["spec"]["algorithm"] == "single-source"
+
+    def test_repetitions_must_be_positive(self):
+        with pytest.raises(ConfigurationError):
+            self._experiment().seeds(0)
+
+    def test_runs_are_reproducible_for_same_base_seed(self):
+        records_a = self._experiment(seed=5).seeds(2).run().records()
+        records_b = self._experiment(seed=5).seeds(2).run().records()
+        assert [r["total_messages"] for r in records_a] == [
+            r["total_messages"] for r in records_b
+        ]
+
+    def test_sweep_runs_every_configuration(self):
+        experiment = Experiment.grid(
+            algorithm="single-source", adversary="static", num_nodes=[5, 7], num_tokens=3
+        )
+        records = experiment.seeds(2).run().records()
+        assert len(records) == 4
+        assert {record["n"] for record in records} == {5, 7}
+
+    def test_aggregate_groups_and_averages(self):
+        experiment = Experiment.grid(
+            algorithm="single-source", adversary="static", num_nodes=[5, 7], num_tokens=3
+        )
+        rows = experiment.seeds(2).run().aggregate(by=["n"]).rows
+        assert len(rows) == 2
+        assert rows[0]["runs"] == 2
+        assert all(row["completed"] for row in rows)
+        assert rows[0]["total_messages_mean"] > 0
+
+
 class TestPowerLawFitting:
     def test_recovers_exact_exponent(self):
         xs = [10, 20, 40, 80]
@@ -109,3 +169,41 @@ class TestReporting:
         assert "k = n" in rendered
         assert "k = n^2" in rendered
         assert "O(n^2)" in rendered
+
+    def test_render_records(self):
+        records = (
+            Experiment.grid(
+                algorithm="single-source", adversary="static", num_nodes=5, num_tokens=2
+            )
+            .run()
+            .records()
+        )
+        columns = ["n", "total_messages", "rounds"]
+        rendered = format_table(columns, [[r[c] for c in columns] for r in records])
+        assert "total_messages" in rendered
+        assert "5" in rendered
+
+    def test_render_aggregates(self):
+        records = (
+            Experiment.grid(
+                algorithm="single-source", adversary="static", num_nodes=[5, 7], num_tokens=2
+            )
+            .run()
+            .records()
+        )
+        rendered = render_aggregates(records, group_by=["n"], metrics=["total_messages"])
+        assert "total_messages_mean" in rendered
+        for record in records:
+            assert f"{record['total_messages']:.2f}" in rendered
+
+    def test_render_paper_vs_measured(self):
+        records = (
+            Experiment.grid(
+                algorithm="flooding", adversary="static-random", num_nodes=[6, 8, 10], num_tokens=4
+            )
+            .run()
+            .records()
+        )
+        rendered = render_comparison(records)
+        assert "flooding" in rendered and "O(n^2)" in rendered
+        assert "verdict" in rendered

@@ -225,6 +225,21 @@ class TestRunSet:
             record_to_json_line(r) for r in serial
         ]
 
+    def test_grid_records_match_serial_run_spec(self):
+        experiment = Experiment.grid(
+            {"adversary.changes_per_round": 0, "adversary.edge_probability": 0.25},
+            algorithm="flooding",
+            adversary="churn",
+            num_nodes=6,
+            num_tokens=4,
+        ).seeds(2)
+        records = experiment.run().records()
+        serial = [record for spec in experiment.specs() for record in run_spec(spec)]
+        assert records == serial
+        assert len(records) == 2
+        assert all(record["completed"] for record in records)
+        assert {record["n"] for record in records} == {6}
+
     def test_parallel_run_is_byte_identical_to_serial(self):
         serial = small_experiment().run(workers=1).records()
         parallel = small_experiment().run(workers=2).records()

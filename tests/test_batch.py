@@ -10,6 +10,8 @@ harness, or the fluent :class:`~repro.api.Experiment` pipeline's automatic
 dispatch.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.core.problem import single_source_problem
 from repro.core.state import BatchKnowledgeState
 from repro.core.tokens import Token
 from repro.dynamics.graph_sequence import EdgeIdTrace
-from repro.scenarios import ScenarioSpec, run_spec
+from repro.scenarios import ScenarioSpec, materialize, run_spec
 from repro.scenarios.registry import ADVERSARY_REGISTRY
 from repro.scenarios.runner import record_from_result, repetition_seed, run_scenario
 
@@ -586,3 +588,23 @@ class TestBatchSpeedupGate:
         passed, message = batch_speedup_gate(entries, 3.0)
         assert passed
         assert "4.1" in message
+
+
+class TestBatchBackendAvailability:
+    """numpy is a hard dependency, so the batch backend refuses no scenario."""
+
+    def test_supports_every_scenario(self):
+        backend = BatchBackend()
+        modes = []
+        for spec in (flooding_spec(), adaptive_spec()):
+            scenario = materialize(spec)
+            parts = (scenario.problem, scenario.algorithm, scenario.adversary)
+            assert backend.supports(*parts) is None
+            modes.append(backend.execution_mode(scenario.algorithm, scenario.adversary))
+        assert modes == ["vectorized", "fallback"]
+
+    def test_single_lane_run_matches_serial(self):
+        spec = flooding_spec(repetitions=1)
+        batched = run_scenario(replace(spec, backend="batch"), keep_trace=True)
+        serial = run_scenario(spec, keep_trace=True)
+        assert diff_results(serial, batched, compare_graphs=True) == []

@@ -186,6 +186,12 @@ class TestListCommand:
         defaults = {p["name"]: p.get("default") for p in oblivious["parameters"]}
         assert defaults["force_two_phase"] is True
 
+    def test_list_json_mirrors_the_registries(self, capsys):
+        assert main(["list", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["name"] for e in payload["algorithms"]] == ALGORITHM_REGISTRY.names()
+        assert [e["name"] for e in payload["adversaries"]] == ADVERSARY_REGISTRY.names()
+
     def test_list_marks_bitset_fast_paths(self, capsys):
         assert main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

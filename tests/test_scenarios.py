@@ -269,6 +269,42 @@ class TestRunner:
         assert rebuilt == record
         assert ScenarioSpec.from_dict(rebuilt["spec"]) == small_spec()
 
+    def test_parallel_batch_is_byte_identical_to_serial(self, tmp_path):
+        specs = sweep(
+            small_spec(repetitions=2),
+            {"problem.num_nodes": [8, 10, 12], "seed": [1, 2]},
+        )
+        serial_path = tmp_path / "serial.jsonl"
+        parallel_path = tmp_path / "parallel.jsonl"
+        serial = Experiment.from_specs(specs).run(workers=1).records()
+        parallel = Experiment.from_specs(specs).run(workers=2).records()
+        serial_path.write_text("".join(record_to_json_line(r) + "\n" for r in serial))
+        parallel_path.write_text("".join(record_to_json_line(r) + "\n" for r in parallel))
+        assert serial == parallel
+        assert serial_path.read_bytes() == parallel_path.read_bytes()
+        assert len(serial_path.read_text().strip().splitlines()) == len(specs) * 2
+
+    def test_progress_callback_sees_every_spec_in_order(self):
+        from repro.obs import CellCompleted
+
+        specs = sweep(small_spec(), {"seed": [0, 1, 2]})
+        events = []
+        records = Experiment.from_specs(specs).observe(events.append).run().records()
+        completed = [event for event in events if isinstance(event, CellCompleted)]
+        assert [(event.index, event.total) for event in completed] == [(0, 3), (1, 3), (2, 3)]
+        assert [event.total_messages for event in completed] == [
+            record["total_messages"] for record in records
+        ]
+        assert [record["spec"]["seed"] for record in records] == [0, 1, 2]
+
+    def test_invalid_workers_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            Experiment.from_specs([small_spec()]).run(workers=0)
+
+    def test_non_spec_items_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="ScenarioSpec"):
+            Experiment.from_specs([{"problem": "single-source"}])
+
 
 class TestReviewRegressions:
     def test_missing_required_parameter_is_a_configuration_error(self):
