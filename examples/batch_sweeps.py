@@ -8,7 +8,8 @@ replay exactly what serial runs would have drawn.  This example shows the three 
 1. explicitly, through ``BatchBackend.run_batch`` — one call, one record per
    repetition, byte-identical to running each repetition serially;
 2. implicitly, through the fluent :class:`~repro.api.Experiment` pipeline,
-   which routes multi-repetition grid cells to the batch kernel on its own;
+   which routes every default-backend grid cell to the batch backend on its
+   own;
 3. measured, with the same timing comparison CI gates
    (``python -m repro bench --sweeps``).
 
@@ -83,7 +84,7 @@ def run_batch_through_the_pipeline() -> None:
 
 
 def adaptive_scenarios_fall_back() -> None:
-    """Non-vectorizable scenarios still work: the backend runs them per lane."""
+    """Adaptive scenarios run too: the backend runs them one lane at a time."""
     from repro.backends import BatchBackend
 
     spec = ScenarioSpec(

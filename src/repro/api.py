@@ -41,13 +41,13 @@ executes the delta, while the :class:`RunSet` still yields the *complete*
 record set (cached + fresh), so aggregates and reports are byte-identical
 to a cold full run.
 
-**Vectorized groups.**  On the in-process path, consecutive pending cells
-of the same spec form one group; when the scenario is vectorizable (the
-adversary is oblivious and the algorithm has a batch program or a native
-bitset fast program), the whole group runs through the batch backend
-(:mod:`repro.batch`) in one pass: lockstep lanes where the algorithm has a
-batch program, one lane at a time over one shared problem otherwise.  Records are field-identical either way —
-an explicit ``.backend("bitset")`` opts out.
+**Vectorized groups.**  Consecutive pending cells of the same spec form
+one group, routed by the spec's backend alone (:func:`cell_backend`): a
+default (``reference``) or ``batch`` group runs through the batch backend
+(:mod:`repro.batch`) whatever its repetition count or adversary, with
+field-identical records; any other named backend (``.backend("bitset")``)
+runs one repetition at a time on itself.  Worker pools split an adaptive
+group into one task per repetition (:func:`pool_tasks`).
 """
 
 from __future__ import annotations
@@ -114,13 +114,14 @@ __all__ = [
     "ExperimentPlan",
     "PlanCell",
     "RunSet",
+    "cell_backend",
     "execute_cell",
     "execute_cell_payload",
     "execute_group",
     "execute_group_payload",
     "group_payloads",
     "load_runs",
-    "vectorizable_group",
+    "pool_tasks",
 ]
 
 #: Path-like accepted wherever a store directory is named.
@@ -595,24 +596,29 @@ def execute_cell(
     return record, meta
 
 
-def vectorizable_group(spec: ScenarioSpec, count: int) -> bool:
-    """Whether ``count`` pending repetitions of one spec should run batched.
+def cell_backend(spec: ScenarioSpec) -> str:
+    """The backend that runs the pending cells of ``spec``: the routing rule.
 
-    Multi-repetition groups of vectorizable scenarios are dispatched to the
-    vectorized batch backend automatically — it produces field-identical
-    records, only faster.  An explicit ``.backend("bitset")`` (or any other
-    non-default backend) opts out.
+    The default (``reference``) and ``batch`` backends send every group
+    through :meth:`~repro.batch.backend.BatchBackend.run_batch`
+    (field-identical records, only faster); any other backend runs itself.
     """
-    if count < 2 or spec.backend not in ("reference", "batch"):
-        return False
-    # Imported lazily: repro.backends imports the scenario layer.  The
-    # package import must come first — in a fresh worker process, importing
-    # repro.batch.backend directly would re-enter the half-initialized
-    # backends package through the registration cycle between the two.
-    import repro.backends  # noqa: F401
-    from repro.batch.backend import can_vectorize_spec
+    return "batch" if spec.backend in ("reference", "batch") else spec.backend
 
-    return can_vectorize_spec(spec)
+
+def pool_tasks(spec: ScenarioSpec, items: Sequence[Any]) -> List[List[Any]]:
+    """Split one group's per-repetition ``items`` into worker-pool tasks.
+
+    A ``batch``-routed group is one task (lockstep lanes or one shared
+    problem), unless its registered adversary class declares
+    ``oblivious = False``: ``run_batch`` runs adaptive lanes one after
+    another, so those go one task per repetition to use every worker, as
+    do the cells of any other backend.
+    """
+    factory = ADVERSARY_REGISTRY.get(spec.adversary).factory
+    if cell_backend(spec) == "batch" and getattr(factory, "oblivious", True):
+        return [list(items)]
+    return [[item] for item in items]
 
 
 def execute_group(
@@ -620,15 +626,15 @@ def execute_group(
     repetitions: Sequence[int],
     collect_timings: bool = False,
 ) -> List[Tuple[Record, CellMeta]]:
-    """Run a same-spec repetition group, vectorized when possible.
+    """Run a same-spec repetition group on the backend :func:`cell_backend` names.
 
     The group-level unit of work behind both the in-process path and the
-    worker pools: a vectorizable group runs all repetitions in one
-    :meth:`~repro.batch.backend.BatchBackend.run_batch` call; anything else
-    runs cell by cell through the spec's own backend.  Either way the outcome list is in repetition
-    order and each record is field-identical to a serial execution.
+    worker pools: one :meth:`~repro.batch.backend.BatchBackend.run_batch`
+    call for a ``batch``-routed group, cell by cell otherwise.  The outcome
+    list is in repetition order; each record is field-identical to a
+    serial execution.
     """
-    if vectorizable_group(spec, len(repetitions)):
+    if cell_backend(spec) == "batch":
         from repro.backends import BatchBackend
 
         tracer = _cell_tracer(collect_timings)
@@ -640,7 +646,7 @@ def execute_group(
         outcomes: List[Tuple[Record, CellMeta]] = []
         for repetition, result in zip(repetitions, results):
             meta: CellMeta = {
-                "backend": "batch",
+                "backend": cell_backend(spec),
                 "seconds": lane_seconds,
                 "stage_seconds": result.timings,
             }
@@ -661,7 +667,7 @@ def execute_group(
 def _execute_pending(
     pending: Sequence["PlanCell"], collect_timings: bool = False
 ) -> Iterator[Tuple[Record, CellMeta]]:
-    """Execute pending cells in plan order, vectorizing eligible groups.
+    """Execute pending cells in plan order, one :func:`execute_group` per group.
 
     Plan order is spec-major, so consecutive grouping recovers exactly the
     pending repetitions of each grid cell.
@@ -698,8 +704,8 @@ def execute_group_payload(payload: GroupPayload) -> List[Tuple[Record, CellMeta]
     """Worker entry point: rebuild the spec and run a whole repetition group.
 
     The batch-parallel analogue of :func:`execute_cell_payload`: one task
-    per *group*, so a worker process runs all lanes of a vectorizable grid
-    cell in one batch-kernel pass while other groups occupy other cores.
+    per *group*, so a worker process runs all lanes of a batch-routed grid
+    cell in one ``run_batch`` call while other groups occupy other cores.
     """
     spec_json, repetitions, extension_modules, collect_timings = payload
     for module_name in extension_modules:
@@ -714,25 +720,20 @@ def group_payloads(
     extensions: Tuple[str, ...],
     collect_timings: bool,
 ) -> List[GroupPayload]:
-    """Pack pending cells into worker tasks, one per batch group.
+    """Pack pending cells into worker tasks, as :func:`pool_tasks` splits each group.
 
-    Vectorizable groups travel whole (one ``run_batch`` per worker task);
-    everything else ships as single-cell groups so the pool still spreads
-    serial cells across cores.  Flattening the per-task outcome lists in
-    task order reproduces plan order exactly.
+    Flattening the per-task outcome lists in task order reproduces plan
+    order exactly.
     """
     import itertools
 
     payloads: List[GroupPayload] = []
     for spec, group in itertools.groupby(pending, key=lambda cell: cell.spec):
-        repetitions = tuple(cell.repetition for cell in group)
-        if vectorizable_group(spec, len(repetitions)):
-            payloads.append((spec.to_json(), repetitions, extensions, collect_timings))
-        else:
-            payloads.extend(
-                (spec.to_json(), (repetition,), extensions, collect_timings)
-                for repetition in repetitions
-            )
+        spec_json = spec.to_json()
+        payloads.extend(
+            (spec_json, tuple(task), extensions, collect_timings)
+            for task in pool_tasks(spec, [cell.repetition for cell in group])
+        )
     return payloads
 
 
@@ -897,7 +898,7 @@ class RunSet:
                             total=total,
                             scenario=cell.spec.label,
                             repetition=cell.repetition,
-                            backend=cell.spec.backend,
+                            backend=cell_backend(cell.spec),
                         )
                     )
                 record, meta = next(fresh)

@@ -8,7 +8,8 @@ native fast programs: per-node token knowledge is one Python integer (bit
 ``i`` = the ``i``-th token in sorted order), a round graph is one adjacency
 bitmask per node, and messages reduce to tuples of small ints.
 
-Execution modes, discovered per algorithm (see :func:`fast_path_names`):
+Execution modes, discovered per algorithm (see :func:`has_native_fast_path`
+and :func:`fast_path_names`):
 
 * **native** — the algorithm ships a bit-level
   :class:`~repro.core.rounds.FastRoundProgram` next to its reference
@@ -86,10 +87,6 @@ class BitsetBackend(EngineBackend):
         # reference engine accepts: natively fast where a program exists,
         # via the generic exchange path otherwise.
         return None
-
-    def execution_mode(self, algorithm) -> str:
-        """How this backend would run ``algorithm``: ``native`` or ``generic``."""
-        return "native" if has_native_fast_path(algorithm) else "generic"
 
     def run(
         self,

@@ -9,18 +9,19 @@ to running each repetition serially.  It has exactly two paths:
 - **lockstep** — algorithms whose rounds really step in ``(lanes, n)``
   lockstep ship a batch program (:meth:`~repro.algorithms.base.
   TokenForwardingAlgorithm.batch_program_factory`: flooding,
-  one-shot-flooding, naive-unicast).  Under an oblivious adversary (lockstep
-  lanes never build round observations) a
+  one-shot-flooding, naive-unicast).  For two or more repetitions under an
+  oblivious adversary (lockstep lanes never build round observations) a
   :class:`~repro.batch.engine.BatchKernel` runs every repetition at once:
   one shared problem, one numpy knowledge cube, per-lane adversaries and RNG
   streams.
-- **per lane** — everything else, adaptive scenarios included.  The problem
-  is built once; each lane gets a fresh algorithm and adversary and runs
-  through the bitset :class:`~repro.core.rounds.RoundKernel` with native
-  fast programs.
+- **per lane** — everything else, single repetitions and adaptive
+  scenarios included.  The problem is built once; each lane gets a fresh
+  algorithm and adversary and runs through the bitset
+  :class:`~repro.core.rounds.RoundKernel` with native fast programs.
 
 :meth:`~repro.backends.base.EngineBackend.supports` therefore accepts
-every scenario.
+every scenario, and :func:`repro.api.cell_backend` sends every
+default-backend group here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.backends.base import EngineBackend, register_backend
-from repro.backends.bitset import BitsetBackend, has_native_fast_path
+from repro.backends.bitset import BitsetBackend
 from repro.batch.engine import BatchKernel
 from repro.core.result import ExecutionResult
 from repro.utils.rng import SeedLike
@@ -66,30 +67,6 @@ def batch_program_names() -> List[str]:
     return names
 
 
-def can_vectorize_spec(spec) -> bool:
-    """True iff multi-repetition groups of ``spec`` belong on :meth:`run_batch`.
-
-    That holds for an oblivious adversary paired with an algorithm that has
-    a lockstep batch program or a native bitset fast program (which the
-    per-lane path runs over one shared problem).  Adaptive scenarios stay
-    off it.  Instantiates the algorithm and adversary from the registries
-    (cheap: constructors only) to ask them; never raises for unknown names —
-    the caller's normal dispatch path will surface those errors.
-    """
-    from repro.scenarios.registry import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY
-
-    try:
-        algorithm = ALGORITHM_REGISTRY.create(spec.algorithm, **spec.algorithm_params)
-        adversary = ADVERSARY_REGISTRY.create(spec.adversary, **spec.adversary_params)
-    except Exception:
-        return False
-    if not getattr(adversary, "oblivious", False):
-        return False
-    return algorithm.batch_program_factory() is not None or has_native_fast_path(
-        algorithm
-    )
-
-
 @register_backend(
     "batch",
     description=(
@@ -104,11 +81,6 @@ class BatchBackend(EngineBackend):
 
     name = "batch"
 
-    def execution_mode(self, algorithm, adversary) -> str:
-        """How a scenario would execute: ``"vectorized"`` (lockstep lanes) or
-        ``"fallback"`` (the per-lane bitset path)."""
-        return "vectorized" if can_vectorize(algorithm, adversary) else "fallback"
-
     def run(
         self,
         problem,
@@ -121,7 +93,12 @@ class BatchBackend(EngineBackend):
         keep_trace: bool = True,
         tracer=None,
     ) -> ExecutionResult:
-        """Run one execution: a single-lane batch kernel, or the bitset kernel."""
+        """Run one execution: a single-lane batch kernel, or the bitset kernel.
+
+        Unlike :meth:`run_batch`, one lane here still steps the batch
+        program: this is the path ``verify-backend --backend batch`` drives,
+        so it keeps those programs checked against the reference engine.
+        """
         if can_vectorize(algorithm, adversary):
             kernel = BatchKernel(
                 problem,
@@ -162,10 +139,12 @@ class BatchBackend(EngineBackend):
                 order.
             keep_trace: forwarded to the kernels.
 
-        Both paths share one problem: the problem seed has no repetition
-        component, so every repetition's problem is identical by
-        construction.  Each lane gets its own seed and adversary instance;
-        the per-lane path also gives each lane a fresh algorithm.
+        Lockstep needs what this call can observe: a batch program, an
+        oblivious adversary and at least two lanes; a single repetition
+        runs per lane.  Both paths share one problem: the problem seed has
+        no repetition component, so every repetition's problem is identical
+        by construction.  Each lane gets its own seed and adversary
+        instance; the per-lane path also gives each lane a fresh algorithm.
         """
         # Imported lazily: the scenario layer imports repro.backends.
         from repro.scenarios.registry import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY
@@ -180,7 +159,9 @@ class BatchBackend(EngineBackend):
         scenario = materialize(spec)
         new_adversary = ADVERSARY_REGISTRY.bind(spec.adversary, **spec.adversary_params)
         adversaries = [scenario.adversary] + [new_adversary() for _ in repetitions[1:]]
-        if can_vectorize(scenario.algorithm, scenario.adversary):
+        if len(repetitions) > 1 and can_vectorize(
+            scenario.algorithm, scenario.adversary
+        ):
             kernel = BatchKernel(
                 scenario.problem,
                 scenario.algorithm,

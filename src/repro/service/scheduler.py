@@ -30,7 +30,7 @@ import itertools
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import Experiment, ExperimentPlan, PlanCell, vectorizable_group
+from repro.api import Experiment, ExperimentPlan, PlanCell, cell_backend, pool_tasks
 from repro.obs.events import (
     CellCached,
     CellCompleted,
@@ -178,13 +178,13 @@ class Scheduler:
     def _claim_cells(
         self, job: Job, plan: ExperimentPlan
     ) -> Dict[int, Tuple["asyncio.Future", bool]]:
-        """Claim every pending cell, dispatching vectorizable groups whole.
+        """Claim every pending cell, dispatching groups as pool tasks.
 
         Plan order is spec-major, so consecutive grouping recovers each grid
         cell's pending repetitions.  The repetitions of a group that are not
         already claimed by an in-flight execution (a sibling job's cell —
-        those coalesce exactly as before) go to the pool as *one* batch
-        payload when the scenario vectorizes, and cell by cell otherwise.
+        those coalesce exactly as before) go to the pool in the tasks
+        :func:`~repro.api.pool_tasks` splits them into.
         """
         loop = asyncio.get_running_loop()
         claims: Dict[int, Tuple["asyncio.Future", bool]] = {}
@@ -211,14 +211,11 @@ class Scheduler:
                 fresh.append((execution, cell))
             if not fresh:
                 continue
-            # Pools predating run_group (third-party stubs) degrade to the
-            # per-cell path instead of failing every claimed cell.
-            if vectorizable_group(spec, len(fresh)) and hasattr(
-                self.pool, "run_group"
-            ):
-                loop.create_task(self._run_group_execution(spec, fresh))
-            else:
-                for execution, cell in fresh:
+            for task in pool_tasks(spec, fresh):
+                if cell_backend(spec) == "batch":
+                    loop.create_task(self._run_group_execution(spec, task))
+                else:
+                    [(execution, cell)] = task
                     loop.create_task(self._run_execution(execution, cell))
         return claims
 
@@ -255,10 +252,10 @@ class Scheduler:
     async def _run_group_execution(
         self, spec: ScenarioSpec, entries: List[Tuple[_Execution, PlanCell]]
     ) -> None:
-        """Run one batch group on the pool, then settle each cell in turn.
+        """Run one batch task on the pool, then settle each cell in turn.
 
-        One worker task executes all repetitions of the group as lockstep
-        lanes of a single batch kernel; the outcome list comes back in
+        One worker task executes the entries' repetitions in one
+        ``run_batch`` call; the outcome list comes back in
         repetition order and each cell keeps the exactly-once semantics of
         :meth:`_run_execution` — persist, resolve, un-claim per record, with
         no ``await`` in between.  A group failure fails every claimed cell
@@ -318,7 +315,7 @@ class Scheduler:
                             total=total,
                             scenario=cell.spec.label,
                             repetition=cell.repetition,
-                            backend=cell.spec.backend,
+                            backend=cell_backend(cell.spec),
                         ),
                     )
                 outcome = await future

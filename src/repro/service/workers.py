@@ -6,13 +6,13 @@ single-thread :class:`~concurrent.futures.ThreadPoolExecutor`, which
 keeps execution in-process — the mode the test suite uses to exercise the
 full submit/coalesce/persist path without forking.
 
-Cells travel as the same picklable payload tuples the parallel
-:class:`~repro.api.RunSet` path ships to ``multiprocessing.Pool``:
-``(spec_json, repetition, extension_modules, collect_timings)`` executed
-by :func:`repro.api.execute_cell_payload`, and whole batch groups as
-``(spec_json, repetitions, extension_modules, collect_timings)`` executed
-by :func:`repro.api.execute_group_payload` — one vectorized batch-kernel
-pass per worker task.
+Work travels as the picklable payloads the parallel :class:`~repro.api.RunSet`
+path ships to ``multiprocessing.Pool``, split by :func:`repro.api.pool_tasks`:
+``batch``-routed groups (:func:`repro.api.cell_backend`) go to
+:meth:`WorkerPool.run_group` as ``(spec_json, repetitions, ...)`` tasks run
+by :func:`repro.api.execute_group_payload`; cells of any other backend go to
+:meth:`WorkerPool.run` as ``(spec_json, repetition, ...)``, run by
+:func:`repro.api.execute_cell_payload`.
 """
 
 from __future__ import annotations

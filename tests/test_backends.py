@@ -12,7 +12,7 @@ from repro.backends import (
     get_backend,
     register_backend,
 )
-from repro.backends.bitset import fast_path_names
+from repro.backends.bitset import fast_path_names, has_native_fast_path
 from repro.algorithms.multi_source import MultiSourceUnicastAlgorithm
 from repro.algorithms.oblivious_multi_source import ObliviousMultiSourceAlgorithm
 from repro.core.tokens import Token
@@ -117,20 +117,19 @@ class TestBitsetCapabilities:
         ):
             assert expected in names
 
-    def test_execution_mode_reports_native_vs_generic(self):
-        backend = BitsetBackend()
-        assert backend.execution_mode(FloodingAlgorithm()) == "native"
+    def test_native_fast_path_detection(self):
+        assert has_native_fast_path(FloodingAlgorithm())
         # The two-phase oblivious algorithm drives the real algorithm during
         # its rng-driven random-walk phase but switches to the multi-source
         # fast program in phase 2 — still a native program from the outside.
-        assert backend.execution_mode(ObliviousMultiSourceAlgorithm()) == "native"
+        assert has_native_fast_path(ObliviousMultiSourceAlgorithm())
 
     def test_subclasses_fall_back_to_the_generic_path(self):
         class TweakedFlooding(FloodingAlgorithm):
             """Overrides could change behaviour the fast program hardcodes."""
 
         assert TweakedFlooding().fast_program_factory() is None
-        assert BitsetBackend().execution_mode(TweakedFlooding()) == "generic"
+        assert not has_native_fast_path(TweakedFlooding())
 
     def test_configured_catalog_disables_the_multi_source_fast_program(self):
         algorithm = MultiSourceUnicastAlgorithm(

@@ -6,8 +6,8 @@ segment-based lazy :class:`~repro.core.events.EventLog`, the steady-topology
 skip machinery on adversary stages, and the end-to-end contract — records
 produced by the batch kernel are field-identical to serial execution,
 whether reached through :meth:`BatchBackend.run_batch`, the differential
-harness, or the fluent :class:`~repro.api.Experiment` pipeline's automatic
-dispatch.
+harness, or the fluent :class:`~repro.api.Experiment` pipeline's routing
+(:func:`~repro.api.cell_backend`).
 """
 
 from dataclasses import replace
@@ -15,10 +15,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.api import Experiment, vectorizable_group
-from repro.backends import BatchBackend, get_backend
+from repro.api import (
+    Experiment,
+    PlanCell,
+    cell_backend,
+    execute_group,
+    group_payloads,
+    pool_tasks,
+)
+from repro.backends import BatchBackend
 from repro.backends.differential import diff_results, validate_backends
-from repro.batch.backend import can_vectorize_spec
+from repro.batch.backend import can_vectorize
 from repro.core.events import (
     SEG_COLUMN,
     SEG_TRIPLES,
@@ -36,7 +43,7 @@ from repro.scenarios.runner import record_from_result, repetition_seed, run_scen
 
 
 def flooding_spec(**overrides):
-    """A vectorizable scenario: flooding under an oblivious adversary."""
+    """A lockstep scenario: flooding under an oblivious adversary."""
     fields = dict(
         problem="single-source",
         problem_params={"num_nodes": 12, "num_tokens": 8},
@@ -53,7 +60,7 @@ def flooding_spec(**overrides):
 
 
 def adaptive_spec(**overrides):
-    """A non-vectorizable scenario: the adaptive lower-bound adversary."""
+    """A per-lane scenario: the adaptive lower-bound adversary."""
     fields = dict(
         problem="single-source",
         problem_params={"num_nodes": 10, "num_tokens": 6},
@@ -243,7 +250,9 @@ class TestSteadyTopology:
 class TestBatchIdentity:
     def test_vectorized_records_match_serial(self):
         spec = flooding_spec()
-        assert can_vectorize_spec(spec)
+        scenario = materialize(spec)
+        assert cell_backend(spec) == "batch"
+        assert can_vectorize(scenario.algorithm, scenario.adversary)
         serial = run_spec(spec)
         results = BatchBackend().run_batch(spec)
         batch = [
@@ -273,7 +282,9 @@ class TestBatchIdentity:
 
     def test_fallback_records_match_serial(self):
         spec = adaptive_spec()
-        assert not can_vectorize_spec(spec)
+        scenario = materialize(spec)
+        assert cell_backend(spec) == "batch"
+        assert not can_vectorize(scenario.algorithm, scenario.adversary)
         serial = run_spec(spec)
         results = BatchBackend().run_batch(spec)
         batch = [
@@ -312,19 +323,35 @@ class TestBatchIdentity:
         assert report.candidate == "batch"
         assert report.passed, [o.describe() for o in report.failures]
 
-    def test_execution_mode_classification(self):
-        backend = get_backend("batch")
-        spec = flooding_spec()
-        from repro.scenarios.runner import materialize
+    def test_lockstep_classification(self):
+        """Lockstep needs a batch program and an oblivious adversary."""
+        cases = [
+            (flooding_spec(), True),
+            (flooding_spec(adversary="adaptive-rewiring", adversary_params={}), False),
+            (flooding_spec(algorithm="single-source", algorithm_params={}), False),
+        ]
+        for spec, lockstep in cases:
+            scenario = materialize(spec)
+            assert can_vectorize(scenario.algorithm, scenario.adversary) is lockstep
 
-        scenario = materialize(spec)
-        assert backend.execution_mode(scenario.algorithm, scenario.adversary) == (
-            "vectorized"
-        )
-        fallback = materialize(adaptive_spec())
-        assert backend.execution_mode(fallback.algorithm, fallback.adversary) == (
-            "fallback"
-        )
+    def test_single_repetition_runs_per_lane(self, monkeypatch):
+        """Lockstep needs two lanes; one repetition takes the bitset lane."""
+        import repro.batch.backend as batch_backend
+
+        lanes = []
+
+        class CountingKernel(batch_backend.BatchKernel):
+            def __init__(self, problem, algorithm, adversaries, *args, **kwargs):
+                lanes.append(len(adversaries))
+                super().__init__(problem, algorithm, adversaries, *args, **kwargs)
+
+        monkeypatch.setattr(batch_backend, "BatchKernel", CountingKernel)
+        spec = flooding_spec()
+        single = BatchBackend().run_batch(spec, [2])
+        assert lanes == []
+        both = BatchBackend().run_batch(spec, [1, 2])
+        assert lanes == [2]
+        assert diff_results(both[1], single[0], compare_graphs=True) == []
 
 
 class TestExperimentAutoBatching:
@@ -367,7 +394,7 @@ def assert_batch_matches_serial(spec):
 
     Traces are kept on both sides, so every round graph is compared too.
     """
-    assert can_vectorize_spec(spec), spec.algorithm
+    assert cell_backend(spec) == "batch", spec.label
     results = BatchBackend().run_batch(spec, keep_trace=True)
     for repetition, result in enumerate(results):
         serial = run_scenario(spec, repetition, keep_trace=True)
@@ -491,15 +518,19 @@ class TestFullGridIdentity:
         ]
 
 
-#: Whether ``vectorizable_group(spec, 2)`` sends a group to ``run_batch``,
-#: per adversary: every registered algorithm batches under the oblivious
-#: adversaries and stays off the batch path under the adaptive one.
-BATCH_ROUTING = {
-    "churn": True,
-    "static-random": True,
-    "static": True,
+#: The routing table, per spec backend: the default and batch backends run
+#: every group through ``run_batch`` (``"batch"``) for any repetition count
+#: under every adversary; bitset runs one cell at a time on itself.
+ROUTING = {"reference": "batch", "batch": "batch", "bitset": "bitset"}
+#: Whether worker pools ship a batch-routed group whole, per adversary: an
+#: adaptive group goes one ``run_batch`` task per repetition.
+WHOLE_POOL_TASK = {
     "adaptive-rewiring": False,
+    "churn": True,
+    "static": True,
+    "static-random": True,
 }
+ROUTED_ADVERSARIES = sorted(WHOLE_POOL_TASK)
 ROUTED_ALGORITHMS = [
     "flooding",
     "multi-source",
@@ -517,9 +548,9 @@ def test_routing_covers_every_registered_algorithm():
     assert sorted(ALGORITHM_REGISTRY.names()) == ROUTED_ALGORITHMS
 
 
-@pytest.mark.parametrize("adversary", sorted(BATCH_ROUTING))
+@pytest.mark.parametrize("adversary", ROUTED_ADVERSARIES)
 @pytest.mark.parametrize("algorithm", ROUTED_ALGORITHMS)
-def test_batch_routing_is_unchanged(algorithm, adversary):
+def test_batch_routing_follows_the_backend(algorithm, adversary):
     spec = ScenarioSpec(
         problem="single-source",
         problem_params={"num_nodes": 8, "num_tokens": 4},
@@ -528,8 +559,57 @@ def test_batch_routing_is_unchanged(algorithm, adversary):
         adversary_params={"num_nodes": 8} if adversary == "static-random" else {},
         repetitions=2,
     )
-    assert vectorizable_group(spec, 2) is BATCH_ROUTING[adversary]
-    assert vectorizable_group(spec, 1) is False
+    for backend, routed in ROUTING.items():
+        routed_spec = replace(spec, backend=backend)
+        assert cell_backend(routed_spec) == routed
+        for count in (1, 2):
+            cells = [
+                PlanCell(routed_spec, repetition, repetition_seed(routed_spec, repetition))
+                for repetition in range(count)
+            ]
+            tasks = [payload[1] for payload in group_payloads(cells, (), False)]
+            if routed == "batch" and WHOLE_POOL_TASK[adversary]:
+                assert tasks == [tuple(range(count))], (backend, count)
+            else:
+                assert tasks == [(repetition,) for repetition in range(count)]
+
+
+@pytest.mark.parametrize("adversary", ADVERSARY_REGISTRY.names())
+def test_pool_packing_reads_the_adversary_flag(adversary):
+    """pool_tasks reads the registered class; it must agree with the instance."""
+    entry = ADVERSARY_REGISTRY.get(adversary)
+    needs_nodes = any(info.name == "num_nodes" for info in entry.parameters())
+    instance = ADVERSARY_REGISTRY.create(adversary, **({"num_nodes": 8} if needs_nodes else {}))
+    spec = replace(flooding_spec(), adversary=adversary, adversary_params={})
+    expected = [[0, 1]] if instance.oblivious else [[0], [1]]
+    assert pool_tasks(spec, [0, 1]) == expected
+
+
+def test_parallel_adaptive_group_matches_serial():
+    spec = adaptive_spec(repetitions=3)
+    parallel = Experiment.from_specs([spec]).run(workers=2).records()
+    assert parallel == run_spec(spec)
+
+
+def test_execute_group_sends_single_and_adaptive_groups_to_run_batch(monkeypatch):
+    calls = []
+    run_batch = BatchBackend.run_batch
+
+    def spy(self, spec, repetitions=None, **kwargs):
+        calls.append((spec.backend, list(repetitions)))
+        return run_batch(self, spec, repetitions, **kwargs)
+
+    monkeypatch.setattr(BatchBackend, "run_batch", spy)
+    spec = adaptive_spec()
+    outcomes = execute_group(spec, [1])
+    assert calls == [("reference", [1])]
+    assert [meta["backend"] for _, meta in outcomes] == ["batch"]
+    assert [record for record, _ in outcomes] == run_spec(spec)[1:2]
+
+    calls.clear()
+    outcomes = execute_group(replace(spec, backend="bitset"), [0, 2])
+    assert calls == []
+    assert [meta["backend"] for _, meta in outcomes] == ["bitset", "bitset"]
 
 
 class TestBatchSpeedupGate:
@@ -595,13 +675,10 @@ class TestBatchBackendAvailability:
 
     def test_supports_every_scenario(self):
         backend = BatchBackend()
-        modes = []
         for spec in (flooding_spec(), adaptive_spec()):
             scenario = materialize(spec)
             parts = (scenario.problem, scenario.algorithm, scenario.adversary)
             assert backend.supports(*parts) is None
-            modes.append(backend.execution_mode(scenario.algorithm, scenario.adversary))
-        assert modes == ["vectorized", "fallback"]
 
     def test_single_lane_run_matches_serial(self):
         spec = flooding_spec(repetitions=1)

@@ -5,7 +5,10 @@ applied uniformly to all of them (an adversary drawing different random
 numbers, a kernel ordering tweak) slips through it.  This test pins the
 records of a small fixed grid to hashes checked into
 ``tests/data/golden_fingerprints.json`` and re-derives them on the
-reference, bitset and batch backends.
+reference, bitset and batch backends.  On batch it covers both shapes
+:func:`repro.api.cell_backend` routes there: a whole repetition group in one
+``run_batch`` call (oblivious and adaptive cells) and each repetition alone
+as a one-lane ``run_batch(spec, [r])`` call (``batch-single``).
 
 Each fingerprint is the SHA-256 of one record's canonical JSON (the same
 flat record :func:`repro.scenarios.runner.record_from_result` writes).
@@ -102,12 +105,23 @@ def _key(spec: ScenarioSpec, repetition: int) -> str:
 
 
 def fingerprints(spec: ScenarioSpec, backend: str) -> Dict[str, str]:
-    """The fingerprint of every repetition of ``spec`` run on ``backend``."""
+    """The fingerprint of every repetition of ``spec`` run on ``backend``.
+
+    ``batch`` runs all repetitions in one ``run_batch`` call;
+    ``batch-single`` runs each one in its own single-repetition call.
+    """
     repetitions = list(range(spec.repetitions))
-    if backend == "batch":
+    if backend in ("batch", "batch-single"):
         from repro.backends import BatchBackend
 
-        results = BatchBackend().run_batch(replace(spec, backend="batch"), repetitions)
+        batch_spec = replace(spec, backend="batch")
+        if backend == "batch":
+            results = BatchBackend().run_batch(batch_spec, repetitions)
+        else:
+            results = [
+                BatchBackend().run_batch(batch_spec, [repetition])[0]
+                for repetition in repetitions
+            ]
     else:
         run_spec = replace(spec, backend=backend)
         results = [run_scenario(run_spec, repetition) for repetition in repetitions]
@@ -121,10 +135,12 @@ def _cases() -> List[Tuple[ScenarioSpec, str]]:
     cases = [
         (spec, backend)
         for spec in oblivious_specs()
-        for backend in ("reference", "bitset", "batch")
+        for backend in ("reference", "bitset", "batch", "batch-single")
     ]
     cases += [
-        (spec, backend) for spec in adaptive_specs() for backend in ("reference", "bitset")
+        (spec, backend)
+        for spec in adaptive_specs()
+        for backend in ("reference", "bitset", "batch")
     ]
     return cases
 

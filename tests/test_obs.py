@@ -423,6 +423,50 @@ class TestProgressEventOrdering:
             self.make_experiment(tmp_path / "store").observe("not-a-callable")
 
 
+#: (explicit backend, the backend that runs the cell): a default-backend
+#: group runs through ``run_batch``; an explicit bitset spec runs per cell.
+EVENT_BACKENDS = [(None, "batch"), ("bitset", "bitset")]
+
+
+class TestEventBackends:
+    """CellStarted and CellCompleted both name the backend that runs the cell."""
+
+    def spec(self, backend):
+        overrides = {} if backend is None else {"backend": backend}
+        return small_spec(num_nodes=8, repetitions=2, **overrides)
+
+    @pytest.mark.parametrize("backend,runs_on", EVENT_BACKENDS)
+    def test_experiment_events(self, backend, runs_on):
+        from repro import Experiment
+
+        events = []
+        Experiment.from_specs([self.spec(backend)]).observe(events.append).run().records()
+        started = [e.backend for e in events if isinstance(e, CellStarted)]
+        completed = [e.backend for e in events if isinstance(e, CellCompleted)]
+        assert started == completed == [runs_on, runs_on]
+
+    @pytest.mark.parametrize("backend,runs_on", EVENT_BACKENDS)
+    def test_service_events(self, tmp_path, backend, runs_on):
+        import asyncio
+
+        from repro.service import Scheduler, WorkerPool
+
+        async def scenario():
+            pool = WorkerPool(0)
+            try:
+                scheduler = Scheduler(str(tmp_path / "store"), pool)
+                job = scheduler.submit([self.spec(backend)])
+                await scheduler.drain()
+            finally:
+                pool.shutdown()
+            return job
+
+        job = asyncio.run(scenario())
+        started = [e["backend"] for e in job.events if e["event"] == "cell_started"]
+        completed = [e["backend"] for e in job.events if e["event"] == "cell_completed"]
+        assert started == completed == [runs_on, runs_on]
+
+
 # ---------------------------------------------------------------------------
 # JSONL traces
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ from repro.dynamics.connectivity import (
 )
 from repro.dynamics.graph_sequence import DynamicGraphTrace, GraphSchedule
 from repro.dynamics.stability import is_sigma_edge_stable, minimum_edge_stability, stabilize_schedule
+from repro import Experiment
 from repro.results import fit_power_law
+from repro.scenarios import ScenarioSpec, run_spec
+from repro.scenarios.registry import ALGORITHM_REGISTRY
 from repro.utils.ids import normalize_edge
 
 # Strategy helpers -------------------------------------------------------------
@@ -227,3 +230,42 @@ def test_fit_power_law_recovers_planted_exponent(exponent, constant):
     fitted_exponent, fitted_constant = fit_power_law(xs, ys)
     assert abs(fitted_exponent - exponent) < 1e-6
     assert abs(fitted_constant - constant) / constant < 1e-4
+
+
+# Cross-path record identity ----------------------------------------------------------------------
+
+#: Algorithms whose natural problem has several sources.
+MULTI_SOURCE_ALGORITHMS = frozenset({"multi-source", "oblivious"})
+
+
+@st.composite
+def scenario_specs(draw):
+    """A small spec: any registered algorithm against churn, a static random
+    graph or the adaptive rewiring adversary."""
+    algorithm = draw(st.sampled_from(sorted(ALGORITHM_REGISTRY.names())))
+    adversary = draw(st.sampled_from(["churn", "static-random", "adaptive-rewiring"]))
+    num_nodes = draw(st.integers(min_value=4, max_value=10))
+    problem, problem_params = "single-source", {"num_nodes": num_nodes}
+    if algorithm in MULTI_SOURCE_ALGORITHMS:
+        problem = "multi-source"
+        problem_params["num_sources"] = 3
+    problem_params["num_tokens"] = draw(
+        st.integers(min_value=problem_params.get("num_sources", 1), max_value=10)
+    )
+    return ScenarioSpec(
+        problem=problem,
+        problem_params=problem_params,
+        algorithm=algorithm,
+        adversary=adversary,
+        adversary_params={"num_nodes": num_nodes} if adversary == "static-random" else {},
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        repetitions=draw(st.integers(min_value=1, max_value=3)),
+        name="property-cross-path",
+    )
+
+
+@given(scenario_specs())
+@settings(deadline=None, max_examples=20)
+def test_experiment_records_match_serial_run_spec(spec):
+    """Whatever path the plan routes a group to, its records are the serial ones."""
+    assert Experiment.from_specs([spec]).run().records() == run_spec(spec)
