@@ -1,6 +1,6 @@
 """Vectorized batch sweeps: run every repetition of a grid cell in lockstep.
 
-The batch backend (``repro.batch``) executes all pending repetitions of one
+The batch backend (``repro.backends.batch``) executes all pending repetitions of one
 scenario as *lanes* of a single vectorized kernel: one ``(lanes, n, k)``
 knowledge cube, one program, and per-lane adversaries/RNG streams that
 replay exactly what serial runs would have drawn.  This example shows the three ways to reach it:

@@ -600,7 +600,7 @@ def cell_backend(spec: ScenarioSpec) -> str:
     """The backend that runs the pending cells of ``spec``: the routing rule.
 
     The default (``reference``) and ``batch`` backends send every group
-    through :meth:`~repro.batch.backend.BatchBackend.run_batch`
+    through :meth:`~repro.backends.batch.BatchBackend.run_batch`
     (field-identical records, only faster); any other backend runs itself.
     """
     return "batch" if spec.backend in ("reference", "batch") else spec.backend
@@ -629,7 +629,7 @@ def execute_group(
     """Run a same-spec repetition group on the backend :func:`cell_backend` names.
 
     The group-level unit of work behind both the in-process path and the
-    worker pools: one :meth:`~repro.batch.backend.BatchBackend.run_batch`
+    worker pools: one :meth:`~repro.backends.batch.BatchBackend.run_batch`
     call for a ``batch``-routed group, cell by cell otherwise.  The outcome
     list is in repetition order; each record is field-identical to a
     serial execution.
@@ -768,13 +768,11 @@ class RunSet:
         self._active: Optional[Iterator[Record]] = None
         self._executed = 0
         self._stored = 0
+        #: The records validated once, for the aggregate/report pipeline.
+        self._validated: Optional[List[RunRecord]] = None
         if records is not None:
-            self._records = [
-                record.to_dict()
-                if isinstance(record, RunRecord)  # already validated
-                else coerce_record(record).to_dict()
-                for record in records
-            ]
+            self._validated = [coerce_record(record) for record in records]
+            self._records = [record.to_dict() for record in self._validated]
 
     @classmethod
     def from_records(
@@ -969,6 +967,11 @@ class RunSet:
 
     # -- pipeline ----------------------------------------------------------
 
+    def _run_records(self) -> List[RunRecord]:
+        if self._validated is None:
+            self._validated = [coerce_record(record) for record in self.records()]
+        return self._validated
+
     def aggregate(
         self,
         by: Optional[Sequence[str]] = None,
@@ -976,7 +979,7 @@ class RunSet:
     ) -> "Aggregate":
         """Group-by statistical summary of the records."""
         return Aggregate(
-            self.records(),
+            self._run_records(),
             group_by=tuple(by) if by is not None else DEFAULT_GROUP_BY,
             metrics=tuple(metrics) if metrics is not None else DEFAULT_METRICS,
         )
@@ -1005,7 +1008,7 @@ class Aggregate:
 
     def __init__(
         self,
-        records: Sequence[Record],
+        records: Sequence[Union[Record, RunRecord]],
         *,
         group_by: Sequence[str] = DEFAULT_GROUP_BY,
         metrics: Sequence[str] = DEFAULT_METRICS,
@@ -1073,7 +1076,7 @@ class Comparison:
 
     def __init__(
         self,
-        records: Sequence[Record],
+        records: Sequence[Union[Record, RunRecord]],
         *,
         group_by: Sequence[str] = DEFAULT_GROUP_BY,
         metrics: Sequence[str] = DEFAULT_METRICS,

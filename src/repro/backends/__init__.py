@@ -15,9 +15,9 @@ and program family they plug in.  Importing this package registers:
   everywhere else; supports every registered algorithm under oblivious and
   adaptive adversaries;
 * ``batch`` — runs all repetitions of a scenario in one call
-  (:mod:`repro.batch`): lockstep numpy lanes for the algorithms with a
-  batch program under oblivious adversaries, otherwise the bitset kernel
-  per repetition over one shared problem.
+  (:mod:`repro.backends.batch`): lockstep numpy lanes for the algorithms
+  with a batch program under oblivious adversaries, otherwise the bitset
+  kernel per repetition over one shared problem.
 
 Select a backend per scenario (``ScenarioSpec(backend="bitset", ...)``,
 ``python -m repro run --backend bitset``) and check equivalence with the
@@ -37,9 +37,9 @@ from repro.backends.base import (
     get_backend,
     register_backend,
 )
+from repro.backends.batch import BatchBackend
 from repro.backends.bitset import BitsetBackend
 from repro.backends.reference import ReferenceBackend
-from repro.batch.backend import BatchBackend
 
 __all__ = [
     "BACKEND_REGISTRY",

@@ -11,10 +11,10 @@ scenario one repetition at a time on the bitset kernel:
   message counters;
 - :class:`~repro.batch.engine.BatchKernel` — the many-lane round loop.
 
-The ``batch`` *backend* lives in :mod:`repro.batch.backend` and is imported
-by :mod:`repro.backends` for registration; it is deliberately not imported
-here so algorithm modules can import this package without cycling through
-the backend registry.
+The ``batch`` *backend* lives in :mod:`repro.backends.batch`, next to the
+other registered backends; this package imports nothing from
+:mod:`repro.backends`, so algorithm modules can import it without cycling
+through the backend registry.
 """
 
 from repro.batch.engine import BatchKernel

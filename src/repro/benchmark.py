@@ -350,7 +350,7 @@ def run_sweep_entry(spec: ScenarioSpec, *, repeat: int = 1) -> Dict[str, Any]:
     side and skews the ratio, while paired trials sample the same
     conditions.  Each side still reports its best-of-``repeat``.
     """
-    from repro.batch.backend import BatchBackend
+    from repro.backends.batch import BatchBackend
 
     repetitions = list(range(spec.repetitions))
     seeds = [repetition_seed(spec, repetition) for repetition in repetitions]

@@ -1287,7 +1287,7 @@ def command_verify_backend(args: argparse.Namespace) -> int:
 
 def command_list(args: argparse.Namespace) -> int:
     from repro.backends.bitset import fast_path_names
-    from repro.batch.backend import batch_program_names
+    from repro.backends.batch import batch_program_names
 
     registries: List[Registry] = [
         ALGORITHM_REGISTRY,

@@ -5,18 +5,17 @@ every record on every call.  This module persists per-group state in the
 index — ``runs`` / ``completed`` plus, per metric, ``count`` / ``sum`` /
 ``sum-of-squares`` moments and the **sorted value list** — and folds only
 rows appended since the last call (tracked by a sqlite ``rowid``
-watermark) into that state.  Rendering then replays the exact recipe of
-:func:`~repro.results.aggregate.aggregate` over the cached sorted values:
-same group ordering, same seeded bootstrap, same ``statistics`` calls.
-The output is **byte-identical** to a cold shard scan — the PR-2
-invariant — while a steady-state call touches only the handful of rows
-that are actually new.
+watermark) into that state.  Rendering then runs the one row recipe of
+:func:`~repro.results.aggregate.aggregate`
+(:func:`~repro.results.aggregate.metric_columns`) over the cached sorted
+values: same group ordering, same seeded bootstrap draws, same exact
+means.  The output is **byte-identical** to a cold shard scan, while a
+steady-state call touches only the handful of rows that are actually new.
 
 The sorted value list (not just the moments) is what makes exactness
-possible: medians, percentile bootstraps and ``statistics.mean``'s
-exact-fraction arithmetic all depend on the individual values.  The
-moments ride along as cheap cross-checks and for future moment-only
-consumers.
+possible: medians, percentile bootstraps and the exact resample means all
+depend on the individual values.  The moments ride along as cheap
+cross-checks and for future moment-only consumers.
 
 Caches invalidate wholesale when the index's **mutation counter** moves —
 any supersede/delete of an existing row (``add(replace=True)``, shard
@@ -26,9 +25,7 @@ truncation) bumps it, because folding can only ever *add* values.
 from __future__ import annotations
 
 import json
-import random
 from bisect import insort
-from statistics import mean, median, pstdev
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.results.aggregate import (
@@ -36,10 +33,9 @@ from repro.results.aggregate import (
     DEFAULT_METRICS,
     DEFAULT_RESAMPLES,
     _group_sort_key,
-    bootstrap_ci,
+    metric_columns,
 )
 from repro.results.records import RunRecord
-from repro.utils.rng import derive_seed
 from repro.warehouse.index import WarehouseIndex
 
 __all__ = ["cached_aggregate"]
@@ -278,10 +274,10 @@ def cached_aggregate(
             full=full_rebuild,
         )
     # Render exactly as repro.results.aggregate.aggregate does: same group
-    # ordering, same seeded bootstrap, same statistics calls on the same
-    # sorted value lists.  Clean groups serve their fully rendered row from
-    # the row cache — the bootstrap (the dominant cost at scale) only runs
-    # for groups whose membership actually changed this call.
+    # ordering and the same row recipe on the same sorted value lists.
+    # Clean groups serve their fully rendered row from the row cache — the
+    # bootstrap (the dominant cost at scale) only runs for groups whose
+    # membership actually changed this call.
     row_cache: Dict[str, str] = {
         encoded: row_json
         for encoded, row_json in conn.execute(
@@ -304,20 +300,11 @@ def cached_aggregate(
         row: Dict[str, Any] = dict(zip(group_by, key))
         row["runs"] = state.runs
         row["completed"] = state.all_completed
-        key_json = json.dumps([str(part) for part in key], sort_keys=True)
         for metric in metrics:
-            values = state.values[metric]
-            rng = random.Random(derive_seed(0, "bootstrap", key_json, metric))
-            ci_low, ci_high = bootstrap_ci(
-                values, confidence=confidence, resamples=resamples, rng=rng
+            metric_columns(
+                row, key, metric, state.values[metric],
+                confidence=confidence, resamples=resamples,
             )
-            row[f"{metric}_mean"] = mean(values)
-            row[f"{metric}_median"] = median(values)
-            row[f"{metric}_std"] = pstdev(values) if len(values) > 1 else 0.0
-            row[f"{metric}_min"] = values[0]
-            row[f"{metric}_max"] = values[-1]
-            row[f"{metric}_ci_low"] = ci_low
-            row[f"{metric}_ci_high"] = ci_high
         rows.append(row)
         fresh_rows.append((encoded, json.dumps(row)))
     if fresh_rows:

@@ -291,6 +291,25 @@ class TestRunSet:
         assert list(runset) == first  # replay, no second execution
         assert runset.executed_count == 4
 
+    def test_report_validates_each_record_once(self, monkeypatch):
+        from repro.results.records import RunRecord
+
+        records = small_experiment().run().records()
+        plain = RunSet.from_records(records).report()
+        parsed = []
+        original = RunRecord.from_dict.__func__
+
+        def counting_from_dict(cls, payload):
+            parsed.append(payload)
+            return original(cls, payload)
+
+        monkeypatch.setattr(RunRecord, "from_dict", classmethod(counting_from_dict))
+        runset = RunSet.from_records(records)
+        assert runset.report() == plain
+        runset.aggregate(by=["n"]).rows
+        assert len(parsed) == len(records)
+        assert runset.records() == records  # still plain dicts
+
     def test_runset_needs_exactly_one_source(self):
         with pytest.raises(ConfigurationError, match="exactly one"):
             RunSet()

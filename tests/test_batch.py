@@ -25,7 +25,7 @@ from repro.api import (
 )
 from repro.backends import BatchBackend
 from repro.backends.differential import diff_results, validate_backends
-from repro.batch.backend import can_vectorize
+from repro.backends.batch import can_vectorize
 from repro.core.events import (
     SEG_COLUMN,
     SEG_TRIPLES,
@@ -336,7 +336,7 @@ class TestBatchIdentity:
 
     def test_single_repetition_runs_per_lane(self, monkeypatch):
         """Lockstep needs two lanes; one repetition takes the bitset lane."""
-        import repro.batch.backend as batch_backend
+        import repro.backends.batch as batch_backend
 
         lanes = []
 
@@ -509,7 +509,7 @@ class TestFullGridIdentity:
             )
 
     def test_only_lockstep_algorithms_have_a_batch_program(self):
-        from repro.batch.backend import batch_program_names
+        from repro.backends.batch import batch_program_names
 
         assert batch_program_names() == [
             "flooding",

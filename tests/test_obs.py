@@ -179,7 +179,7 @@ class TestTracedExecutionIdentity:
             )
 
     def test_batch_lanes_share_group_stage_seconds(self):
-        from repro.batch.backend import BatchBackend
+        from repro.backends.batch import BatchBackend
 
         spec = small_spec(repetitions=3)
         backend = BatchBackend()
